@@ -50,11 +50,6 @@ SERVICE_METRICS = (
     "batch_reduction",
     "batch_wall_seconds",
 )
-PARALLEL_METRICS = (
-    "speedup",
-    "sequential_wall_seconds",
-    "parallel_wall_seconds",
-)
 QUERY_METRICS = (
     "total_ios",
     "join_ios",
@@ -79,7 +74,6 @@ ARTIFACT_METRICS = {
     "pipeline": PIPELINE_METRICS,
     "oram": ORAM_METRICS,
     "service": SERVICE_METRICS,
-    "parallel": PARALLEL_METRICS,
     "query": QUERY_METRICS,
     "lint": LINT_METRICS,
 }
@@ -101,9 +95,8 @@ EXACT = {
     "group_by_ios",
     "unexpected_findings",
 }
-#: Metrics where a *larger* value is the good direction (batch quality,
-#: parallel speedup).
-HIGHER_IS_BETTER = {"mean_batch_size", "batch_reduction", "speedup"}
+#: Metrics where a *larger* value is the good direction (batch quality).
+HIGHER_IS_BETTER = {"mean_batch_size", "batch_reduction"}
 
 
 def load_dir(path: Path, notes: list[str] | None = None) -> dict[str, dict]:

@@ -281,7 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     failures += run_pipeline_comparison(n, config, args.seed, json_dir)
     failures += run_oram_benchmark(args.smoke, args.seed, json_dir)
     failures += run_service_comparison(args.smoke, config, args.seed, json_dir)
-    failures += run_parallel_comparison(args.smoke, args.seed, json_dir)
     failures += run_query_benchmark_wrapper(args.smoke, config, args.seed, json_dir)
     failures += run_lint_report(json_dir)
     if failures:
@@ -346,16 +345,6 @@ def run_service_comparison(smoke: bool, config, seed: int, json_dir) -> int:
     from bench_service import run_service_benchmark
 
     return run_service_benchmark(smoke, config, seed, json_dir)
-
-
-def run_parallel_comparison(smoke: bool, seed: int, json_dir) -> int:
-    """Measure the parallel io_rounds engine's wall-clock speedup at
-    byte-identical traces (``BENCH_parallel.json`` when ``--json`` is
-    active) — the ratio is hardware-bound, so the artifact records
-    ``os.cpu_count()`` next to it."""
-    from bench_parallel import run_parallel_benchmark
-
-    return run_parallel_benchmark(smoke, seed, json_dir)
 
 
 def run_oram_benchmark(smoke: bool, seed: int, json_dir) -> int:

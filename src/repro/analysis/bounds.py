@@ -34,8 +34,6 @@ __all__ = [
     "IOBound",
     "PAPER_BOUNDS",
     "estimate_ios",
-    "estimate_span_ios",
-    "span_scale",
     "stream_upload_cost",
 ]
 
@@ -46,21 +44,13 @@ class IOBound:
 
     ``feasible`` (optional) returns whether the algorithm's model
     assumptions hold at ``(n_blocks, m, params)`` — the optimizer never
-    substitutes a variant whose bound declares itself infeasible.
-
-    ``parallel_fraction`` is the Brent-style parallelizable share of the
-    bound's work under the parallel I/O engine: the fraction of its
-    I/Os issued through batched round-robin streams whose data movement
-    fans out across workers (rounds stay barriers).  The default 0.9
-    reflects the batched hot loops; data-dependent probe sequences
-    (ORAM) and setup-only models override it downward."""
+    substitutes a variant whose bound declares itself infeasible."""
 
     name: str
     source: str  #: where the bound comes from (theorem / lemma)
     formula: str  #: human-readable growth law, in blocks n and cache m
     estimate: Callable[[int, int, Mapping], float]  #: (n_blocks, m, params)
     feasible: Callable[[int, int, Mapping], bool] | None = None
-    parallel_fraction: float = 0.9
 
 
 def _logm(n: int, m: int) -> float:
@@ -338,9 +328,6 @@ PAPER_BOUNDS: dict[str, IOBound] = {
             * _log2(n) ** 2
             * (1.0 + len(params.get("indices", ())) / math.sqrt(max(1, n)))
         ),
-        # The probe sequence is data-dependent and inherently serial;
-        # only the build sort and epoch rebuilds fan out.
-        parallel_fraction=0.5,
     ),
     "oram_read_batch_hier": IOBound(
         name="oram_read_batch_hier",
@@ -356,8 +343,6 @@ PAPER_BOUNDS: dict[str, IOBound] = {
             _hier_build_ios(n, m)
             + len(params.get("indices", ())) * _hier_access_ios(n, m)
         ),
-        # Same serial probe caveat as the square-root backend.
-        parallel_fraction=0.5,
     ),
     "compact_sparse_hier": IOBound(
         name="compact_sparse_hier",
@@ -407,17 +392,12 @@ PAPER_BOUNDS: dict[str, IOBound] = {
         # residency (one chunk instead of n records), which
         # :func:`stream_upload_cost` prices separately.
         estimate=lambda n, m, params: 0.0,
-        # Round trips, not block I/Os: nothing for the engine to fan out.
-        parallel_fraction=0.0,
     ),
     "merge_sort": IOBound(
         name="merge_sort",
         source="Aggarwal–Vitter (baseline, not oblivious)",
         formula="2·n·(1 + log_m n)",
         estimate=lambda n, m, params: 2.0 * n * (1.0 + _logm(n, m)),
-        # The k-way merge consumes runs in data-dependent order; only
-        # run formation fans out.
-        parallel_fraction=0.5,
     ),
     "bitonic_sort": IOBound(
         name="bitonic_sort",
@@ -438,37 +418,6 @@ def estimate_ios(
     """
     bound = PAPER_BOUNDS[cost_model]
     return float(bound.estimate(max(1, n_blocks), max(2, m), params or {}))
-
-
-def span_scale(cost_model: str, workers: int) -> float:
-    """Brent-style span/work ratio of ``cost_model`` at ``workers``.
-
-    With parallelizable fraction ``p`` (the bound's
-    :attr:`IOBound.parallel_fraction`), the span of ``W`` work units is
-    ``W·((1-p) + p/workers)`` — Amdahl's law with rounds as barriers.
-    This term is ADVISORY pricing for ``plan.explain()`` only: the
-    optimizer's plan *choice* must stay worker-independent (it compares
-    work, never span), otherwise machines with different worker counts
-    would pick different plans and their traces would diverge — breaking
-    the byte-identical adversary-view contract the parallel engine keeps.
-    """
-    workers = max(1, int(workers))
-    p = PAPER_BOUNDS[cost_model].parallel_fraction
-    return (1.0 - p) + p / workers
-
-
-def estimate_span_ios(
-    cost_model: str,
-    n_blocks: int,
-    m: int,
-    params: Mapping | None = None,
-    workers: int = 1,
-) -> float:
-    """Estimated *span* (critical-path block I/Os) of ``cost_model`` at
-    ``workers`` — :func:`estimate_ios` scaled by :func:`span_scale`."""
-    return estimate_ios(cost_model, n_blocks, m, params) * span_scale(
-        cost_model, workers
-    )
 
 
 def stream_upload_cost(

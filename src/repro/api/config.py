@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.em.machine import EMMachine
-from repro.em.parallel import MODES as PARALLEL_MODES
 from repro.em.storage import MemmapBackend, MemoryBackend, StorageBackend
 
 __all__ = ["EMConfig", "RetryPolicy", "BACKENDS"]
@@ -56,18 +55,6 @@ class EMConfig:
     backend_dir:
         Directory for file-backed backends; ``None`` uses a private
         temporary directory removed on ``close()``.
-    parallel_workers:
-        Worker count for the parallel I/O engine
-        (:class:`repro.em.parallel.ParallelIOEngine`); ``None`` reads
-        ``REPRO_PARALLEL_WORKERS``, 1 means the sequential engine.  The
-        adversary-visible trace and all I/O counters are byte-identical
-        across worker counts — this knob trades wall-clock only.
-    parallel_mode:
-        ``"thread"`` (default) or ``"process"`` (adds CPU-bound
-        re-encryption mixing of memmap shards in worker processes).
-    parallel_min_blocks:
-        Blocks one batched call must move before fanning out (``None``:
-        ``REPRO_PARALLEL_MIN_BLOCKS`` or the engine default).
     """
 
     M: int = 256
@@ -75,29 +62,12 @@ class EMConfig:
     trace: bool = True
     backend: str = "memory"
     backend_dir: str | None = None
-    parallel_workers: int | None = None
-    parallel_mode: str = "thread"
-    parallel_min_blocks: int | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
                 f"choose from {sorted(BACKENDS)}"
-            )
-        if self.parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel mode {self.parallel_mode!r}; "
-                f"choose from {PARALLEL_MODES}"
-            )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError(
-                f"parallel_workers must be >= 1, got {self.parallel_workers}"
-            )
-        if self.parallel_min_blocks is not None and self.parallel_min_blocks < 1:
-            raise ValueError(
-                f"parallel_min_blocks must be >= 1, "
-                f"got {self.parallel_min_blocks}"
             )
 
     def with_overrides(self, **kw) -> "EMConfig":
@@ -125,7 +95,4 @@ class EMConfig:
             trace=self.trace,
             backend=backend if backend is not None else self.make_backend(),
             owns_backend=owns_backend,
-            parallel_workers=self.parallel_workers,
-            parallel_mode=self.parallel_mode,
-            parallel_min_blocks=self.parallel_min_blocks,
         )

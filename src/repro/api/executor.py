@@ -151,7 +151,6 @@ class Executor:
             if steps is None:
                 for array_id in set(machine._arrays) - pre_plan:
                     machine.free(machine._arrays[array_id])
-        par_rounds = sum(s.cost.parallel_rounds for s in steps)
         total = CostReport(
             reads=sum(s.cost.reads for s in steps),
             writes=sum(s.cost.writes for s in steps),
@@ -159,18 +158,6 @@ class Executor:
             trace_fingerprint=None,
             batches=sum(s.cost.batches for s in steps),
             batched_ios=sum(s.cost.batched_ios for s in steps),
-            parallel_rounds=par_rounds,
-            # Utilization averages over parallel work, weighted by how
-            # many rounds each step fanned out.
-            worker_utilization=(
-                sum(
-                    s.cost.worker_utilization * s.cost.parallel_rounds
-                    for s in steps
-                )
-                / par_rounds
-                if par_rounds
-                else 0.0
-            ),
         )
         return PlanResult(
             steps=tuple(steps),
@@ -476,8 +463,6 @@ class Executor:
                 batches=meter.batches,
                 batched_ios=meter.batched_ios,
                 trace_canonical=canonical,
-                parallel_rounds=meter.parallel_rounds,
-                worker_utilization=meter.worker_utilization,
             )
             return A, out, cost, before
         raise RetryExhausted(

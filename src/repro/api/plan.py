@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.analysis.bounds import PAPER_BOUNDS, span_scale
+from repro.analysis.bounds import PAPER_BOUNDS
 from repro.api.registry import get as get_spec
 from repro.em.block import occupancy
 from repro.em.storage import EMArray
@@ -324,11 +324,6 @@ class StepEstimate:
     source: str | None  #: paper provenance of the bound
     randomized: bool
     note: str | None = None  #: optimizer annotation (None: verbatim step)
-    #: Estimated critical-path I/Os at the session's worker count —
-    #: ``est_ios`` scaled by the bound's Brent/Amdahl span factor
-    #: (:func:`repro.analysis.bounds.span_scale`).  Equals ``est_ios``
-    #: on a sequential session; ``None`` when the step has no model.
-    est_span_ios: float | None = None
 
 
 @dataclass(frozen=True)
@@ -352,9 +347,6 @@ class PlanExplain:
     optimized: bool = False
     rewrites: tuple = ()  #: tuple[repro.api.optimizer.Rewrite, ...]
     baseline_est_ios: float | None = None
-    #: The session machine's parallel worker count the span column was
-    #: priced at (1: sequential, span == work).
-    parallel_workers: int = 1
 
     @property
     def m(self) -> int:
@@ -365,12 +357,6 @@ class PlanExplain:
     def total_est_ios(self) -> float:
         """Sum of the per-step estimates (unmodelled steps contribute 0)."""
         return sum(s.est_ios or 0.0 for s in self.steps)
-
-    @property
-    def total_est_span_ios(self) -> float:
-        """Sum of the per-step span estimates — the critical-path I/O
-        prediction at :attr:`parallel_workers` workers."""
-        return sum(s.est_span_ios or 0.0 for s in self.steps)
 
     @property
     def savings_fraction(self) -> float:
@@ -399,13 +385,6 @@ class PlanExplain:
             )
         lines.append(f"{'total':>4}  {'':<22} {'':>8} {'':>7} "
                      f"{self.total_est_ios:>10.0f}")
-        if self.parallel_workers > 1:
-            lines.append(
-                f"parallel: est span {self.total_est_span_ios:.0f} I/Os at "
-                f"{self.parallel_workers} workers (work "
-                f"{self.total_est_ios:.0f}; advisory — plan choice is "
-                "worker-independent)"
-            )
         if self.optimized:
             if self.rewrites:
                 base = self.baseline_est_ios or 0.0
@@ -483,17 +462,13 @@ class Plan:
             baseline = identity.total_est_ios
         else:
             sched, baseline = identity, None
-        workers = self.session.machine.parallel_workers
         steps: list[StepEstimate] = []
         for exec_step in sched.schedule:
             spec = exec_step.spec
             formula = source = None
-            est_span = exec_step.est_ios
             if spec.cost_model is not None and spec.cost_model in PAPER_BOUNDS:
                 bound = PAPER_BOUNDS[spec.cost_model]
                 formula, source = bound.formula, bound.source
-                if est_span is not None:
-                    est_span = est_span * span_scale(spec.cost_model, workers)
             steps.append(
                 StepEstimate(
                     step=len(steps),
@@ -505,7 +480,6 @@ class Plan:
                     source=source,
                     randomized=spec.randomized,
                     note=exec_step.note,
-                    est_span_ios=est_span,
                 )
             )
         return PlanExplain(
@@ -515,7 +489,6 @@ class Plan:
             optimized=bool(optimize),
             rewrites=sched.rewrites,
             baseline_est_ios=baseline,
-            parallel_workers=workers,
         )
 
     def run(self, optimize: bool | str | None = None) -> "PlanResult":

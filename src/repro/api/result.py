@@ -48,15 +48,6 @@ class CostReport:
     (e.g. an optimized plan that dropped an upstream step) but whose
     surviving steps behave identically produce equal canonical digests;
     the optimizer's equivalence tests rely on this.
-
-    ``parallel_rounds`` counts the rounds whose data movement fanned out
-    across the parallel engine (0 on a sequential machine) and
-    ``worker_utilization`` the measured busy/(span·workers) fraction of
-    those fan-outs.  Utilization is wall-clock simulation detail — never
-    part of the modeled cost or any byte-equality contract — so it is
-    excluded from report equality (``compare=False``): two runs that
-    performed the identical work compare equal however their timings
-    jittered.
     """
 
     reads: int
@@ -66,8 +57,6 @@ class CostReport:
     batches: int = 0
     batched_ios: int = 0
     trace_canonical: str | None = None
-    parallel_rounds: int = 0
-    worker_utilization: float = field(default=0.0, compare=False)
 
     @property
     def total(self) -> int:
@@ -95,15 +84,9 @@ class CostReport:
             if self.batches
             else ""
         )
-        par = (
-            f", {self.parallel_rounds} parallel rounds "
-            f"(util {self.worker_utilization:.0%})"
-            if self.parallel_rounds
-            else ""
-        )
         return (
             f"{self.total} I/Os ({self.reads} reads, {self.writes} writes) "
-            f"in {self.attempts} attempt(s){batch}{par}{fp}"
+            f"in {self.attempts} attempt(s){batch}{fp}"
         )
 
 

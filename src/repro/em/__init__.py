@@ -19,7 +19,6 @@ from repro.em.cache import CacheOverflowError, ClientCache
 from repro.em.crypto import CiphertextVersions
 from repro.em.errors import EMError, OutOfBoundsError
 from repro.em.machine import EMMachine, IOMeter
-from repro.em.parallel import ParallelIOEngine, resolve_workers
 from repro.em.storage import EMArray, MemmapBackend, MemoryBackend, StorageBackend
 from repro.em.trace import AccessTrace, TraceEvent
 from repro.em.adversary import AdversaryView
@@ -38,8 +37,6 @@ __all__ = [
     "OutOfBoundsError",
     "EMMachine",
     "IOMeter",
-    "ParallelIOEngine",
-    "resolve_workers",
     "EMArray",
     "StorageBackend",
     "MemoryBackend",

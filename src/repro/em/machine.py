@@ -38,8 +38,7 @@ part of the model.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -48,7 +47,6 @@ import numpy as np
 from repro.em.block import RECORD_WIDTH
 from repro.em.cache import ClientCache
 from repro.em.errors import EMError
-from repro.em.parallel import MODES, ParallelIOEngine, resolve_workers
 from repro.em.storage import EMArray, MemoryBackend, StorageBackend
 from repro.em.trace import AccessTrace, Op
 
@@ -82,22 +80,13 @@ class IOMeter:
 
     ``batches``/``batched_ios`` describe how much of the traffic went
     through the batched engine (one "batch" per bulk call; ``batched_ios``
-    is the number of I/Os those calls covered).  ``parallel_rounds``
-    counts the rounds whose data movement fanned out across the
-    parallel engine's workers (0 on a sequential machine);
-    ``worker_utilization`` is the measured busy/(span·workers) fraction
-    of those fan-outs — wall-clock derived, so never part of any
-    byte-equality contract.
+    is the number of I/Os those calls covered).
     """
 
     reads: int = 0
     writes: int = 0
     batches: int = 0
     batched_ios: int = 0
-    parallel_rounds: int = 0
-    busy_seconds: float = 0.0
-    span_seconds: float = 0.0
-    workers: int = 1
 
     @property
     def total(self) -> int:
@@ -107,14 +96,6 @@ class IOMeter:
     def mean_batch_size(self) -> float:
         """Average I/Os per batched call (0.0 when nothing was batched)."""
         return self.batched_ios / self.batches if self.batches else 0.0
-
-    @property
-    def worker_utilization(self) -> float:
-        """Fraction of the worker pool kept busy during parallel phases
-        (0.0 when nothing ran parallel)."""
-        if self.span_seconds <= 0.0 or self.workers < 1:
-            return 0.0
-        return min(1.0, self.busy_seconds / (self.span_seconds * self.workers))
 
 
 class EMMachine:
@@ -139,20 +120,6 @@ class EMMachine:
         service layer shares one backend across many machines and passes
         ``False`` so a session teardown frees its own arrays without
         destroying its neighbours' storage.
-    parallel_workers:
-        Fan the data movement of large batched calls across this many
-        workers (:class:`repro.em.parallel.ParallelIOEngine`).  ``None``
-        (default) reads ``REPRO_PARALLEL_WORKERS`` and falls back to 1
-        — the sequential engine.  Counters, ciphertext versions and the
-        trace are maintained by the calling thread in sequential order
-        either way, so the adversary view is byte-identical for every
-        worker count.
-    parallel_mode:
-        ``"thread"`` (default) or ``"process"`` — see
-        :class:`repro.em.parallel.ParallelIOEngine`.
-    parallel_min_blocks:
-        Blocks one batched call must move before it fans out (``None``:
-        ``REPRO_PARALLEL_MIN_BLOCKS`` or the module default).
     """
 
     def __init__(
@@ -163,9 +130,6 @@ class EMMachine:
         trace: bool = True,
         backend: StorageBackend | None = None,
         owns_backend: bool = True,
-        parallel_workers: int | None = None,
-        parallel_mode: str = "thread",
-        parallel_min_blocks: int | None = None,
     ) -> None:
         if B < 1:
             raise ValueError(f"block size B must be >= 1, got {B}")
@@ -173,25 +137,6 @@ class EMMachine:
             raise ValueError(f"private memory M={M} violates M >= 2B (B={B})")
         self.M = M
         self.B = B
-        if parallel_mode not in MODES:
-            raise ValueError(
-                f"unknown parallel mode {parallel_mode!r}; choose from {MODES}"
-            )
-        self.parallel_workers = resolve_workers(parallel_workers)
-        self.parallel_mode = parallel_mode
-        self._parallel = (
-            ParallelIOEngine(
-                self.parallel_workers,
-                mode=parallel_mode,
-                min_blocks=parallel_min_blocks,
-            )
-            if self.parallel_workers > 1
-            else None
-        )
-        #: Rounds whose data movement took the parallel engine (one unit
-        #: per round of an engaged batch, mirroring how ``reads`` counts
-        #: I/Os); always 0 on a sequential machine.
-        self.parallel_rounds = 0
         self.cache = ClientCache(M // B)
         self.trace = AccessTrace()
         self.trace.enabled = trace
@@ -425,10 +370,7 @@ class EMMachine:
             lo = hi = 0
             step = 1
             k = len(idx)
-        engine = self._engine_for(k)
-        blocks = self._gather_one(engine, arr, lo, hi, step, idx, k)
-        if engine is not None:
-            self.parallel_rounds += k
+        blocks = arr._gather_range(lo, hi, step) if idx is None else arr._gather(idx)
         self.reads += k
         self._count_batch(k)
         self._notify_io(k, 1)
@@ -457,10 +399,10 @@ class EMMachine:
             lo = hi = 0
             step = 1
             k = len(idx)
-        engine = self._engine_for(k)
-        self._scatter_one(engine, arr, lo, hi, step, idx, blocks)
-        if engine is not None:
-            self.parallel_rounds += k
+        if idx is None:
+            arr._scatter_range(lo, hi, blocks, step)
+        else:
+            arr._scatter(idx, blocks)
         self.writes += k
         self._count_batch(k)
         self._notify_io(k, 1)
@@ -492,8 +434,9 @@ class EMMachine:
             s_lo = s_hi = 0
             s_st = 1
             k = len(sidx)
-        engine = self._engine_for(2 * k)
-        blocks = self._gather_one(engine, src, s_lo, s_hi, s_st, sidx, k)
+        blocks = (
+            src._gather_range(s_lo, s_hi, s_st) if sidx is None else src._gather(sidx)
+        )
         if type(dst_indices) is tuple:
             d_lo, d_hi, d_st = (
                 dst_indices if len(dst_indices) == 3 else (*dst_indices, 1)
@@ -507,9 +450,10 @@ class EMMachine:
                 raise ValueError(
                     f"source and destination counts differ ({k} != {len(didx)})"
                 )
-        self._scatter_one(engine, dst, d_lo, d_hi, d_st, didx, blocks)
-        if engine is not None:
-            self.parallel_rounds += k
+        if didx is None:
+            dst._scatter_range(d_lo, d_hi, blocks, d_st)
+        else:
+            dst._scatter(didx, blocks)
         self.reads += k
         self.writes += k
         self._count_batch(2 * k)
@@ -555,11 +499,7 @@ class EMMachine:
         arr._check_many(lidx)
         arr._check_many(ridx)
         uniq, inv = np.unique(np.concatenate([lidx, ridx]), return_inverse=True)
-        engine = self._engine_for(2 * len(uniq))
-        if engine is None:
-            values = arr.backend.gather(arr._data, uniq)
-        else:
-            values = engine.gather([("fancy", arr._data, uniq)])[0]
+        values = arr.backend.gather(arr._data, uniq)
         # Compose the swaps on private index labels (cheap ints, no block
         # movement), then apply the permutation to the gathered blocks.
         cur = np.arange(len(uniq), dtype=np.int64)
@@ -567,14 +507,7 @@ class EMMachine:
         for t in range(k):
             a, b = li[t], ri[t]
             cur[a], cur[b] = cur[b], cur[a]
-        if engine is None:
-            arr.backend.scatter(arr._data, uniq, values[cur])
-        else:
-            # ``uniq`` is duplicate-free by construction, so the scatter
-            # may shard ("ufancy") without racing last-wins semantics.
-            engine.scatter([("ufancy", arr._data, uniq, values[cur])])
-            self.parallel_rounds += k
-            self._par_mix(engine, arr, int(uniq[0]), int(uniq[-1]) + 1)
+        arr.backend.scatter(arr._data, uniq, values[cur])
         widx = np.empty(2 * k, dtype=np.int64)
         widx[0::2] = lidx
         widx[1::2] = ridx
@@ -663,77 +596,26 @@ class EMMachine:
         if k == 0:
             return [None for _ in parsed]
 
-        engine = self._engine_for(k * len(parsed))
         results: list[np.ndarray | None] = []
         n_reads = n_writes = 0
-        if engine is None:
-            for kind, arr, lo, hi, st, idx, _ in parsed:
-                if kind == "r":
-                    results.append(
-                        arr._gather_range(lo, hi, st)
-                        if idx is None
-                        else arr._gather(idx)
-                    )
-                    n_reads += k
-                else:
-                    results.append(None)
-                    n_writes += k
-            for kind, arr, lo, hi, st, idx, payload in parsed:
-                if kind != "w":
-                    continue
-                blocks = payload(results) if callable(payload) else payload
-                blocks = np.asarray(blocks, dtype=np.int64)
-                if idx is None:
-                    arr._scatter_range(lo, hi, blocks, st)
-                else:
-                    arr._scatter(idx, blocks)
-        else:
-            # Parallel path: one barrier per phase.  All reads observe
-            # the pre-call state (the documented io_rounds contract), so
-            # every gather fans out together; payloads then run in the
-            # calling thread in stream order; the scatters fan out with
-            # same-array streams kept in stream order by the engine; and
-            # the ciphertext-version epilogue replays the sequential
-            # engine's per-stream re-encryption order exactly.
-            gather_tasks: list[tuple] = []
-            for kind, arr, lo, hi, st, idx, _ in parsed:
-                if kind == "r":
-                    if idx is None:
-                        arr._check_range(lo, hi, st)
-                        gather_tasks.append(("range", arr._data, lo, hi, st, k))
-                    else:
-                        arr._check_many(idx)
-                        gather_tasks.append(("fancy", arr._data, idx))
-                    n_reads += k
-                else:
-                    n_writes += k
-            gathered = iter(engine.gather(gather_tasks))
-            results = [next(gathered) if p[0] == "r" else None for p in parsed]
-            write_streams: list[tuple] = []
-            scatter_tasks: list[tuple] = []
-            for kind, arr, lo, hi, st, idx, payload in parsed:
-                if kind != "w":
-                    continue
-                blocks = payload(results) if callable(payload) else payload
-                blocks = np.asarray(blocks, dtype=np.int64)
-                if idx is None:
-                    arr._check_scatter_range(lo, hi, blocks, st)
-                    scatter_tasks.append(("range", arr._data, lo, st, blocks))
-                else:
-                    arr._check_scatter(idx, blocks)
-                    scatter_tasks.append(("fancy", arr._data, idx, blocks))
-                write_streams.append((arr, lo, hi, st, idx))
-            engine.scatter(scatter_tasks)
-            for arr, lo, hi, st, idx in write_streams:
-                if idx is None:
-                    arr.versions.reencrypt_range(lo, hi, st)
-                    self._par_mix(engine, arr, lo, hi)
-                elif len(idx):
-                    arr.versions.reencrypt_many(idx)
-                    self._par_mix(
-                        engine, arr, int(idx.min()), int(idx.max()) + 1
-                    )
-            self.parallel_rounds += k
+        for kind, arr, lo, hi, st, idx, _ in parsed:
+            if kind == "r":
+                results.append(
+                    arr._gather_range(lo, hi, st) if idx is None else arr._gather(idx)
+                )
+                n_reads += k
+            else:
+                results.append(None)
+                n_writes += k
+        for kind, arr, lo, hi, st, idx, payload in parsed:
+            if kind != "w":
+                continue
+            blocks = payload(results) if callable(payload) else payload
+            blocks = np.asarray(blocks, dtype=np.int64)
+            if idx is None:
+                arr._scatter_range(lo, hi, blocks, st)
+            else:
+                arr._scatter(idx, blocks)
         self.reads += n_reads
         self.writes += n_writes
         self._count_batch(k * len(parsed))
@@ -795,16 +677,6 @@ class EMMachine:
         self.client_loads = 0
         self.client_extracts = 0
         self.peak_upload_records = 0
-        self.parallel_rounds = 0
-
-    @property
-    def worker_utilization(self) -> float:
-        """Cumulative busy/(span·workers) of the parallel engine (0.0 on
-        a sequential machine or before the first fan-out)."""
-        eng = self._parallel
-        if eng is None or eng.span_seconds <= 0.0:
-            return 0.0
-        return min(1.0, eng.busy_seconds / (eng.span_seconds * eng.workers))
 
     @contextmanager
     def metered(self) -> Iterator[IOMeter]:
@@ -817,10 +689,6 @@ class EMMachine:
         """
         start_r, start_w = self.reads, self.writes
         start_b, start_bio = self.batch_count, self.batched_io_count
-        start_pr = self.parallel_rounds
-        eng = self._parallel
-        start_busy = eng.busy_seconds if eng is not None else 0.0
-        start_span = eng.span_seconds if eng is not None else 0.0
         m = IOMeter()
         try:
             yield m
@@ -829,20 +697,6 @@ class EMMachine:
             m.writes = self.writes - start_w
             m.batches = self.batch_count - start_b
             m.batched_ios = self.batched_io_count - start_bio
-            m.parallel_rounds = self.parallel_rounds - start_pr
-            if eng is not None:
-                m.busy_seconds = eng.busy_seconds - start_busy
-                m.span_seconds = eng.span_seconds - start_span
-                m.workers = eng.workers
-
-    def meter(self) -> AbstractContextManager[IOMeter]:
-        """Deprecated alias of :meth:`metered`."""
-        warnings.warn(
-            "EMMachine.meter() is deprecated; use EMMachine.metered()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.metered()
 
     # -- teardown ------------------------------------------------------------
 
@@ -851,8 +705,6 @@ class EMMachine:
         this machine owns it (shared service backends stay open)."""
         for arr in list(self._arrays.values()):
             self.free(arr)
-        if self._parallel is not None:
-            self._parallel.close()
         if self.owns_backend:
             self.backend.close()
 
@@ -864,63 +716,6 @@ class EMMachine:
         if idx.ndim != 1:
             raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
         return idx
-
-    def _engine_for(self, total_blocks: int) -> ParallelIOEngine | None:
-        """The parallel engine, iff one exists and ``total_blocks`` of
-        data movement clears its engagement threshold."""
-        eng = self._parallel
-        if eng is not None and eng.engages(total_blocks):
-            return eng
-        return None
-
-    def _gather_one(self, engine, arr, lo, hi, st, idx, k) -> np.ndarray:
-        """One gather, through ``engine`` when given (bounds checked
-        here; the engine only moves bytes)."""
-        if engine is None:
-            return (
-                arr._gather_range(lo, hi, st) if idx is None else arr._gather(idx)
-            )
-        if idx is None:
-            arr._check_range(lo, hi, st)
-            return engine.gather([("range", arr._data, lo, hi, st, k)])[0]
-        arr._check_many(idx)
-        return engine.gather([("fancy", arr._data, idx)])[0]
-
-    def _scatter_one(self, engine, arr, lo, hi, st, idx, blocks) -> None:
-        """One scatter, through ``engine`` when given.  The version
-        epilogue always runs in the calling thread so the clock sequence
-        matches the sequential engine byte-for-byte."""
-        if engine is None:
-            if idx is None:
-                arr._scatter_range(lo, hi, blocks, st)
-            else:
-                arr._scatter(idx, blocks)
-            return
-        if idx is None:
-            arr._check_scatter_range(lo, hi, blocks, st)
-            engine.scatter([("range", arr._data, lo, st, blocks)])
-            arr.versions.reencrypt_range(lo, hi, st)
-            self._par_mix(engine, arr, lo, hi)
-        else:
-            arr._check_scatter(idx, blocks)
-            engine.scatter([("fancy", arr._data, idx, blocks)])
-            arr.versions.reencrypt_many(idx)
-            if len(idx):
-                self._par_mix(engine, arr, int(idx.min()), int(idx.max()) + 1)
-
-    def _par_mix(self, engine, arr, lo, hi) -> None:
-        """Process-mode hook: model CPU-bound re-encryption of the
-        freshly written block envelope ``[lo, hi)`` for file-backed
-        arrays.  The envelope depends only on the call's index set —
-        never on sharding — so the folded digest is worker-independent."""
-        if engine.mode != "process" or hi <= lo:
-            return
-        path_of = getattr(arr.backend, "path_of", None)
-        if path_of is None:
-            return
-        path = path_of(arr._data)
-        if path is not None:
-            engine.mix_memmap(path, arr._data.shape, lo, hi)
 
     def _count_batch(self, ios: int) -> None:
         if ios > 0:

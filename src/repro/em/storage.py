@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +62,7 @@ class StorageBackend:
         the storage itself via :meth:`_allocate`.
         """
         data = self._allocate(shape, label)
-        with self._lock:
-            self._ledger[id(data)] = int(data.nbytes)
+        self._ledger[id(data)] = int(data.nbytes)
         return data
 
     def _allocate(self, shape: tuple[int, ...], label: str = "") -> np.ndarray:
@@ -79,26 +77,6 @@ class StorageBackend:
             sizes = {}
             self._live_sizes = sizes
         return sizes
-
-    @property
-    def _lock(self) -> threading.Lock:
-        """Per-backend lock guarding the ledger (and subclass path maps).
-
-        ``gather``/``scatter`` themselves stay lock-free — they touch
-        only caller-disjoint shards of one buffer — but allocation
-        bookkeeping is shared dict state, which the parallel engine's
-        stress tests exercise from many threads.  Lazy (like
-        :attr:`_ledger`) so subclasses need not call ``__init__``; the
-        module-level guard makes the first materialization race-free.
-        """
-        lock = getattr(self, "_ledger_lock", None)
-        if lock is None:
-            with _LOCK_INIT:
-                lock = getattr(self, "_ledger_lock", None)
-                if lock is None:
-                    lock = threading.Lock()
-                    self._ledger_lock = lock
-        return lock
 
     @property
     def live_bytes(self) -> int:
@@ -125,8 +103,7 @@ class StorageBackend:
 
     def release(self, data: np.ndarray) -> None:
         """Reclaim a buffer previously returned by :meth:`allocate`."""
-        with self._lock:
-            self._ledger.pop(id(data), None)
+        self._ledger.pop(id(data), None)
         self._release(data)
 
     def _release(self, data: np.ndarray) -> None:
@@ -134,15 +111,10 @@ class StorageBackend:
 
     def close(self) -> None:
         """Release every resource the backend still holds."""
-        with self._lock:
-            self._ledger.clear()
+        self._ledger.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
-
-
-#: Guards first-touch creation of per-backend ledger locks.
-_LOCK_INIT = threading.Lock()
 
 
 class MemoryBackend(StorageBackend):
@@ -188,34 +160,22 @@ class MemmapBackend(StorageBackend):
             # mmap cannot map zero bytes; empty arrays never do I/O anyway.
             return np.zeros(shape, dtype=np.int64)
         safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", label) or "arr"
-        with self._lock:
-            path = self.directory / f"{self._seq:06d}-{safe}.blk"
-            self._seq += 1
+        path = self.directory / f"{self._seq:06d}-{safe}.blk"
+        self._seq += 1
         data = np.memmap(path, dtype=np.int64, mode="w+", shape=shape)
-        with self._lock:
-            self._paths[id(data)] = path
+        self._paths[id(data)] = path
         return data
 
     def _release(self, data: np.ndarray) -> None:
-        with self._lock:
-            path = self._paths.pop(id(data), None)
+        path = self._paths.pop(id(data), None)
         if path is not None:
             path.unlink(missing_ok=True)
 
-    def path_of(self, data: np.ndarray) -> Path | None:
-        """The backing file of a live buffer (``None`` for the zero-size
-        RAM fallback).  The parallel engine's process path hands this to
-        worker processes so they can map the shared bytes themselves."""
-        with self._lock:
-            return self._paths.get(id(data))
-
     def close(self) -> None:
         super().close()
-        with self._lock:
-            paths = list(self._paths.values())
-            self._paths.clear()
-        for path in paths:
+        for path in self._paths.values():
             path.unlink(missing_ok=True)
+        self._paths.clear()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
 
@@ -275,24 +235,18 @@ class EMArray:
         self._check_many(indices)
         return self.backend.gather(self._data, indices)
 
-    def _check_scatter(self, indices: np.ndarray, blocks: np.ndarray) -> None:
-        """Bounds + shape validation of a fancy scatter, write-free —
-        the parallel engine validates here, moves the data itself, and
-        re-encrypts via :attr:`versions` in sequential stream order."""
-        self._check_many(indices)
-        if blocks.shape != (len(indices), self.B, RECORD_WIDTH):
-            raise ValueError(
-                f"blocks shape {blocks.shape} does not match "
-                f"({len(indices)}, {self.B}, {RECORD_WIDTH})"
-            )
-
     def _scatter(self, indices: np.ndarray, blocks: np.ndarray) -> None:
         """Bulk write: overwrite the indexed blocks, re-encrypting each.
 
         Duplicate indices behave like a sequential write loop (last
         occurrence wins, both for contents and ciphertext versions).
         """
-        self._check_scatter(indices, blocks)
+        self._check_many(indices)
+        if blocks.shape != (len(indices), self.B, RECORD_WIDTH):
+            raise ValueError(
+                f"blocks shape {blocks.shape} does not match "
+                f"({len(indices)}, {self.B}, {RECORD_WIDTH})"
+            )
         self.backend.scatter(self._data, indices, blocks)
         self.versions.reencrypt_many(indices)
 
@@ -311,11 +265,8 @@ class EMArray:
         self._check_range(lo, hi, step)
         return self._data[lo:hi:step].copy() if step != 1 else self._data[lo:hi].copy()
 
-    def _check_scatter_range(
-        self, lo: int, hi: int, blocks: np.ndarray, step: int = 1
-    ) -> None:
-        """Bounds + shape validation of a range scatter, write-free
-        (the parallel engine's pre-flight twin of :meth:`_check_scatter`)."""
+    def _scatter_range(self, lo: int, hi: int, blocks: np.ndarray, step: int = 1) -> None:
+        """(Strided) range bulk write, re-encrypting each block in order."""
         self._check_range(lo, hi, step)
         k = len(range(lo, hi, step))
         if blocks.shape != (k, self.B, RECORD_WIDTH):
@@ -323,10 +274,6 @@ class EMArray:
                 f"blocks shape {blocks.shape} does not match "
                 f"({k}, {self.B}, {RECORD_WIDTH})"
             )
-
-    def _scatter_range(self, lo: int, hi: int, blocks: np.ndarray, step: int = 1) -> None:
-        """(Strided) range bulk write, re-encrypting each block in order."""
-        self._check_scatter_range(lo, hi, blocks, step)
         if step != 1:
             self._data[lo:hi:step] = blocks
         else:

@@ -1,15 +1,13 @@
 """Static obliviousness linter for the reproduction codebase.
 
-Three passes over the algorithm sources, complementing the *dynamic*
+Two passes over the algorithm sources, complementing the *dynamic*
 adversary-view harness (which can only witness violations its sampled
 inputs happen to trigger):
 
 1. taint/obliviousness — no machine payload value may influence the
    I/O sequence (:mod:`repro.lint.taint`);
 2. AlgorithmSpec conformance — declared spec flags must match runner
-   source (:mod:`repro.lint.conformance`);
-3. parallel-safety — worker shards must not touch sequential-epilogue
-   accounting state (:mod:`repro.lint.parallel_safety`).
+   source (:mod:`repro.lint.conformance`).
 
 Run with ``python -m repro.lint [--strict] [--json]``.
 """

@@ -21,7 +21,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Static obliviousness linter (taint, spec "
-        "conformance, parallel-safety).",
+        "conformance).",
     )
     parser.add_argument(
         "root",

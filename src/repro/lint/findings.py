@@ -2,13 +2,11 @@
 
 Every rule has a stable ID so CI baselines, pragmas and the JSON
 artifact can refer to findings without depending on message wording.
-Rule families mirror the three analysis passes:
+Rule families mirror the two analysis passes:
 
 * ``OBL1xx`` — Pass 1, taint/obliviousness (:mod:`repro.lint.taint`);
 * ``SPEC2xx`` — Pass 2, :class:`~repro.api.registry.AlgorithmSpec`
-  conformance (:mod:`repro.lint.conformance`);
-* ``PAR3xx`` — Pass 3, parallel-safety of worker-reachable code
-  (:mod:`repro.lint.parallel_safety`).
+  conformance (:mod:`repro.lint.conformance`).
 """
 
 from __future__ import annotations
@@ -43,12 +41,6 @@ RULES: dict[str, str] = {
     "layouts via a null-tolerant spec's variants, yet never tests "
     "the NULL sentinel",
     "SPEC208": "spec lint_public metadata entry carries no justification",
-    "PAR301": "worker-reachable code mutates shared engine/machine "
-    "accounting state (counters stay in the calling thread)",
-    "PAR302": "worker-reachable code invokes epilogue APIs (trace rows, "
-    "ciphertext versions, io_observer) that must stay sequential",
-    "PAR303": "worker-reachable code calls machine I/O entry points or "
-    "storage-ledger APIs (workers only move bytes)",
 }
 
 

@@ -1,4 +1,4 @@
-"""Lint orchestration: build the project model, run the three passes.
+"""Lint orchestration: build the project model, run the two passes.
 
 The report scope (where Pass-1 findings are *emitted*) is narrower
 than the parse scope (everything under ``src/repro``, so summaries
@@ -20,7 +20,6 @@ from pathlib import Path
 from repro.lint.conformance import check_specs
 from repro.lint.findings import Finding
 from repro.lint.model import Project
-from repro.lint.parallel_safety import check_parallel_safety
 from repro.lint.taint import analyze_function, compute_summaries
 
 __all__ = ["LintReport", "run_lint"]
@@ -38,9 +37,6 @@ REPORT_SCOPE = (
 
 #: Dotted-module prefixes whose findings are the expected baseline.
 EXPECTED_SCOPE = ("repro.baselines",)
-
-#: Modules scanned by the parallel-safety pass.
-PARALLEL_SCOPE = ("repro.em.parallel", "repro.em.crypto", "repro.em.storage")
 
 
 @dataclass
@@ -115,7 +111,6 @@ def run_lint(
     root: Path | None = None,
     *,
     spec_pass: bool = True,
-    parallel_pass: bool = True,
 ) -> LintReport:
     if root is None:
         root = Path(__file__).resolve().parents[1]
@@ -144,14 +139,6 @@ def run_lint(
 
     if spec_pass and specs:
         findings.extend(check_specs(project, specs))
-
-    if parallel_pass:
-        par_mods = [
-            m
-            for m in project.modules.values()
-            if _in_scope(m.dotted, PARALLEL_SCOPE)
-        ]
-        findings.extend(check_parallel_safety(project, par_mods))
 
     # Unused-pragma findings come last: every pass above may mark use.
     for mod in report_mods:

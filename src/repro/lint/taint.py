@@ -79,7 +79,7 @@ MACHINE_OPS: dict[str, OpSpec] = {
 }
 
 #: Attributes whose value is a public model parameter regardless of
-#: the object it hangs off (EMMachine/EMArray/engine geometry).
+#: the object it hangs off (EMMachine/EMArray geometry).
 #: ``array`` is the EMArray *handle* inside result carriers like
 #: ConsolidationResult: handles are plan structure (their ids already
 #: appear in the trace), only payload contents are secret.
@@ -90,11 +90,8 @@ PUBLIC_ATTRS = {
     "array",
     "array_id",
     "capacity_blocks",
-    "min_blocks",
-    "mode",
     "num_blocks",
     "num_cells",
-    "workers",
 }
 
 #: ``x.append(v)`` / ``x.push(v)``-style receiver mutators: the

@@ -37,7 +37,6 @@ from repro.api import (
 __all__ = [
     "SEED",
     "workload",
-    "parallel_config_kwargs",
     "adversary_fingerprint",
     "assert_adversary_view_invariant",
     "streamed_chain_workload",
@@ -155,15 +154,6 @@ def workload(
     else:
         params = {}
     return data, params, {"M": 64, "B": 4}
-
-
-def parallel_config_kwargs(config_kwargs: dict, workers: int = 4) -> dict:
-    """``config_kwargs`` with the parallel I/O engine forced on:
-    ``workers`` workers and an engagement threshold of one block, so
-    every batched call of the workload fans out.  The parallel engine's
-    contract is that this changes *nothing* the adversary sees — the
-    invariance tests run every oblivious algorithm through both."""
-    return {**config_kwargs, "parallel_workers": workers, "parallel_min_blocks": 1}
 
 
 def adversary_fingerprint(

@@ -317,12 +317,12 @@ def test_reset_counters_and_metered():
     assert machine.total_ios == 0
     trace_len = len(machine.trace)
     assert trace_len > 0  # the trace is NOT cleared by reset_counters
-    # metered() survives exceptions; meter() remains as an alias.
+    # metered() survives exceptions and scopes each measurement.
     with pytest.raises(RuntimeError):
         with machine.metered() as meter:
             machine.read(arr, 0)
             raise RuntimeError("mid-measurement")
     assert meter.total == 1
-    with machine.metered() as legacy_meter:
+    with machine.metered() as meter:
         machine.read(arr, 3)
-    assert legacy_meter.total == 1
+    assert meter.total == 1

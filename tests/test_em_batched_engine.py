@@ -53,6 +53,12 @@ def _assert_twins(m1: EMMachine, m2: EMMachine, arrays1, arrays2) -> None:
     for x, y in zip(arrays1, arrays2):
         assert np.array_equal(x.raw, y.raw)
         assert np.array_equal(x.versions.snapshot(), y.versions.snapshot())
+    for m, arrays in ((m1, arrays1), (m2, arrays2)):
+        # Version clocks advance once per write: together they equal the
+        # machine's write count, and no block is ahead of its clock.
+        assert sum(x.versions._clock for x in arrays) == m.writes
+        for x in arrays:
+            assert x.versions.snapshot().max(initial=0) <= x.versions._clock
 
 
 indices_strategy = st.lists(
@@ -118,19 +124,38 @@ class TestBatchedScalarEquivalence:
         _assert_twins(m1, m2, (a1, b1), (a2, b2))
 
     @settings(max_examples=40, deadline=None)
-    @given(k=st.integers(min_value=0, max_value=10), start=st.integers(min_value=0, max_value=2))
-    def test_io_rounds_matches_scalar_interleave(self, k, start):
+    @given(
+        k=st.integers(min_value=0, max_value=10),
+        start=st.integers(min_value=0, max_value=2),
+        fancy=st.booleans(),
+        data=st.data(),
+    )
+    def test_io_rounds_matches_scalar_interleave(self, k, start, fancy, data):
+        """``fancy`` swaps the range write stream for an index array
+        with duplicates: the scatter must keep last-wins semantics."""
         (m1, m2), ((a1, b1), (a2, b2)) = _machines()
+        dst = list(range(start, start + k))
+        if fancy:
+            dst = data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=3), min_size=k, max_size=k
+                )
+            )
         got = m1.io_rounds(
             [
                 ("r", a1, (start, start + k)),
-                ("w", b1, (start, start + k), lambda reads: reads[0] + 1),
+                (
+                    "w",
+                    b1,
+                    np.asarray(dst, dtype=np.int64) if fancy else (start, start + k),
+                    lambda reads: reads[0] + 1,
+                ),
             ]
         )
-        for j in range(start, start + k):
-            m2.write(b2, j, m2.read(a2, j) + 1)
+        for j, d in zip(range(start, start + k), dst):
+            m2.write(b2, d, m2.read(a2, j) + 1)
         _assert_twins(m1, m2, (a1, b1), (a2, b2))
-        if k:
+        if k and not fancy:
             assert np.array_equal(got[0] + 1, b1.raw[start : start + k])
 
     @settings(max_examples=30, deadline=None)
@@ -202,30 +227,9 @@ class TestRangeWrappers:
 
 
 class TestMeterDeprecation:
-    def test_meter_warns_and_still_works(self):
-        m = EMMachine(64, 4)
-        a = m.alloc(2, "a")
-        with pytest.warns(DeprecationWarning, match="metered"):
-            with m.meter() as meter:
-                m.read(a, 0)
-        assert meter.reads == 1
-
-    def test_meter_warning_points_at_the_caller(self):
-        """stacklevel must attribute the warning to the deprecated call
-        site, not to em/machine.py — otherwise every report says the
-        library warned about itself and nobody finds their own usage."""
-        import warnings
-
-        m = EMMachine(64, 4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            m.meter()
-        assert len(caught) == 1
-        assert caught[0].filename == __file__
-
     def test_metered_does_not_warn(self):
-        """The replacement API must be warning-free, or the deprecation
-        can never be finished."""
+        """``metered()``, which replaced the removed ``meter()`` alias,
+        must stay warning-free."""
         import warnings
 
         m = EMMachine(64, 4)

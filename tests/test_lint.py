@@ -20,7 +20,6 @@ import pytest
 from repro.lint import RULES, Finding, run_lint
 from repro.lint.conformance import check_specs, reachable, runner_info
 from repro.lint.model import Project
-from repro.lint.parallel_safety import check_parallel_safety, worker_entries
 from repro.lint.pragmas import parse_pragmas
 from repro.lint.taint import analyze_function, compute_summaries
 
@@ -153,35 +152,6 @@ class TestSpecFixtures:
         assert info is not None
         assert info.name == "writes_input"
         assert "A" in info.summary.writes_params
-
-
-# ---------------------------------------------------------------------------
-# Pass 3: parallel-safety fixtures
-# ---------------------------------------------------------------------------
-
-
-class TestParallelFixtures:
-    def _findings(self):
-        project = _fixture_project("parallel_violations")
-        mod = _module(project, "parallel_violations")
-        return check_parallel_safety(project, [mod])
-
-    def test_all_parallel_rules_fire(self):
-        rules = {f.rule for f in self._findings()}
-        assert {"PAR301", "PAR302", "PAR303"} <= rules
-
-    def test_both_entry_mechanisms_found(self):
-        project = _fixture_project("parallel_violations")
-        mod = _module(project, "parallel_violations")
-        names = {e.qualname for e in worker_entries(mod)}
-        assert any(n.endswith("._bad_mix_job.job") for n in names)  # job builder
-        assert any(n.endswith("._mix_worker") for n in names)  # submit target
-
-    def test_submit_target_flagged(self):
-        findings = self._findings()
-        assert any(
-            f.rule == "PAR302" and "_mix_worker" in f.message for f in findings
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from obliviousness import (
     SEED,
     adversary_fingerprint,
     assert_adversary_view_invariant,
-    parallel_config_kwargs,
     workload,
 )
 
@@ -75,37 +74,6 @@ def test_transcript_invariant_on_memmap_backend(name, variant):
     mem = _REFERENCE.get((name, False, "memory"))
     if mem is not None:
         assert _REFERENCE[(name, False, "memmap")] == mem
-
-
-@pytest.mark.parametrize("name", OBLIVIOUS_ALGOS)
-@given(variant=st.integers(0, 2**32 - 1))
-@settings(max_examples=2, deadline=None)
-def test_transcript_invariant_under_parallel_workers(name, variant):
-    """The §1 property under the parallel I/O engine: with
-    parallel_workers=4 (and the engagement threshold forced to one
-    block, so every batched call fans out) the full transcript is still
-    bit-identical across data permutations — AND bit-identical to the
-    sequential engine's view, because parallelism is a simulation detail
-    the adversary cannot observe."""
-    rng = np.random.default_rng(variant)
-    data, params, cfg = workload(name, rng)
-    fp, attempts = adversary_fingerprint(
-        name, data, params, config_kwargs=parallel_config_kwargs(cfg)
-    )
-    key = (name, "parallel4")
-    ref = _REFERENCE.setdefault(key, (fp, attempts))
-    assert (fp, attempts) == ref, (
-        f"{name!r} under parallel_workers=4 leaked data through its "
-        f"transcript: variant {variant} produced view {fp[:16]}… vs "
-        f"reference {ref[0][:16]}…"
-    )
-    seq_fp, seq_attempts = adversary_fingerprint(
-        name, data, params, config_kwargs=cfg
-    )
-    assert (fp, attempts) == (seq_fp, seq_attempts), (
-        f"{name!r}: parallel transcript diverged from the sequential "
-        f"engine's at identical (n, params, seed, data)"
-    )
 
 
 def test_optimized_single_step_plans_share_the_oblivious_property():
