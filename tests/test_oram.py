@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import EMConfig, ObliviousSession
 from repro.core.block_sort import oblivious_block_sort
 from repro.em import EMMachine, make_block
-from repro.em.block import is_empty
+from repro.em.block import NULL_KEY, is_empty
 from repro.oram import SquareRootORAM
 from repro.oram.simulation import measure_oram_overhead
 from repro.util.rng import make_rng
@@ -307,49 +308,88 @@ class TestShelterFactor:
         assert rebuilds(3) < rebuilds(1)
 
 
-#: Fingerprints of complete ORAM workloads (construction from an initial
-#: array, 3n mixed read/write/dummy accesses across several epochs, then
-#: extract_to), captured on the *scalar* loop formulation before the
-#: batched rewrite.  The fused-stream engine must reproduce them byte for
-#: byte — this is the ORAM layer's analogue of the algorithm-level golden
-#: fingerprints in test_em_batched_engine.py.
+#: Fingerprints of complete ORAM workloads, keyed by
+#: ``(ops, n, M, B, seed, shelter_factor)``: construction from an initial
+#: array, 3n accesses cycling through ``ops`` (``r`` read, ``w`` write,
+#: ``u`` update, ``d`` dummy) across several epochs, then extract_to.
+#: The three ``"rwd"`` entries were captured on the *scalar* loop
+#: formulation before the batched rewrite; the fused-stream engine must
+#: reproduce them byte for byte — this is the ORAM layer's analogue of
+#: the algorithm-level golden fingerprints in test_em_batched_engine.py.
+#: The ``"rwud"`` and ``shelter_factor=3`` entries pin the update path
+#: and stretched shelters.  The ``"peel"`` entry is a session
+#: ``run("compact_sparse")`` (the Theorem-4 peel over this backend) on a
+#: sparse layout of ``n`` blocks.
 ORAM_GOLDEN = {
-    (8, 2048, 4, 11): (
+    ("rwd", 8, 2048, 4, 11, 1): (
         5761,
         "bb0712582688af11cb263bc7a3ac815509378d6d0842df5b51999c188a164ec7",
     ),
-    (13, 64, 4, 5): (
+    ("rwd", 13, 64, 4, 5, 1): (
         28793,
         "6bcee1252f32a17fca44d2cedcaba507df9300eb9e7ef8439636110e3a1d94c8",
     ),
-    (4, 64, 2, 3): (
+    ("rwd", 4, 64, 2, 3, 1): (
         3746,
         "d50de9711c473dfa4bc0d3bf59aa30b53819945433ec34a4b51e8c4baa2873de",
     ),
+    ("rwud", 9, 2048, 4, 7, 1): (
+        6822,
+        "d4630ece20a3c97c3674a5763696cb037ad88d4ada1eea751084858ca63d1c6d",
+    ),
+    ("rwd", 9, 64, 4, 2, 3): (
+        16419,
+        "b9e6ab55d57a774b0a4705bb577493d919f6c594f7a51fe38a0084c77a97a6ed",
+    ),
+    ("peel", 16, 64, 4, 11, 1): (
+        69752,
+        "7a1624651a07952c0f0db891be5370c39d5a65c99e66fb7aa858fe3deb742a2d",
+    ),
 }
+
+
+def sparse_peel_fingerprint(name, n_blocks, M, B, seed):
+    """``(total I/Os, fingerprint)`` of a session ``run(name)`` over a
+    fixed sparse layout: three live records in ``n_blocks`` blocks."""
+    layout = np.zeros((n_blocks * B, 2), dtype=np.int64)
+    layout[:, 0] = NULL_KEY
+    live = np.array([2, 7, n_blocks - 3])
+    layout[live * B, 0] = [40, 10, 30]
+    layout[live * B, 1] = [400, 100, 300]
+    with ObliviousSession(EMConfig(M=M, B=B, trace=True), seed=seed) as s:
+        result = s.run(name, layout)
+    return result.cost.total, result.cost.trace_fingerprint
 
 
 class TestORAMGoldenFingerprints:
     @pytest.mark.parametrize("shape", sorted(ORAM_GOLDEN))
     def test_batched_loops_reproduce_scalar_trace(self, shape):
-        n, M, B, seed = shape
+        ops, n, M, B, seed, factor = shape
+        want_ios, want_fp = ORAM_GOLDEN[shape]
+        if ops == "peel":
+            got = sparse_peel_fingerprint("compact_sparse", n, M, B, seed)
+            assert got == (want_ios, want_fp)
+            return
         mach = EMMachine(M=M, B=B)
         init = mach.alloc(n)
         for j in range(n):
             init.raw[j] = make_block([j * 7 + 1], B=B)
-        oram = SquareRootORAM(mach, n, make_rng(seed), initial=init)
+        oram = SquareRootORAM(
+            mach, n, make_rng(seed), initial=init, shelter_factor=factor
+        )
         rng = np.random.default_rng(seed + 1)
         for t in range(3 * n):
-            op = t % 3
+            op = ops[t % len(ops)]
             i = int(rng.integers(0, n))
-            if op == 0:
+            if op == "r":
                 oram.read(i)
-            elif op == 1:
+            elif op == "w":
                 oram.write(i, make_block([t], B=B))
+            elif op == "u":
+                oram.update(i, lambda blk: blk + 1)
             else:
                 oram.dummy_op()
         out = mach.alloc(n)
         oram.extract_to(out)
-        want_ios, want_fp = ORAM_GOLDEN[shape]
         assert mach.total_ios == want_ios
         assert mach.trace.fingerprint() == want_fp

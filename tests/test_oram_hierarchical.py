@@ -37,6 +37,7 @@ from repro.oram import (
     measure_oram_overhead,
 )
 from repro.util.rng import make_rng
+from test_oram import sparse_peel_fingerprint
 
 
 def fresh_oram(n, M=2048, B=4, seed=1):
@@ -175,28 +176,79 @@ def test_read_your_writes_matches_plaintext_dict(variant):
             oram.dummy_op()
 
 
-def test_golden_transcript_fingerprint():
-    """Pinned adversary view at seed 11: the fixed mixed schedule on
-    n=13 must reproduce this exact trace byte for byte.  A change here
-    means the hierarchical scheme's schedule (probe counts, merge
-    cadence, or sort events) changed — re-derive deliberately."""
-    n, B = 13, 4
+#: Pinned adversary views: workload -> (merges, total I/Os, fingerprint).
+#: ``"mixed"`` is the fixed read/write/update schedule on n=13 at seed
+#: 11; ``"initial-extract"`` seeds n=11 cells from an array, runs 3n
+#: read/write/dummy accesses at seed 6 and extracts; ``"peel"`` is a
+#: session ``run("compact_sparse_hier")`` (the Theorem-4 peel over this
+#: backend) on a sparse 16-block layout at seed 11 (merges unrecorded).
+HIER_GOLDEN = {
+    "mixed": (
+        9,
+        9336,
+        "61527507bf8cefcd76f9fd791286cd43e2b32bb5415d1001fd63d5a0a70e4ee3",
+    ),
+    "initial-extract": (
+        8,
+        10336,
+        "8c2fcbe03678899ceb049f6c5aaa9c78f16ad636fafd55b739050342879586fe",
+    ),
+    "peel": (
+        None,
+        134048,
+        "488fa386f8cdfc940c4e5b97b06e685656846b18f023aa350748a671bd2e9d4e",
+    ),
+}
+
+
+def _hier_golden_run(workload):
+    """``(merges, total I/Os, fingerprint)`` of one pinned workload."""
+    if workload == "peel":
+        ios, fp = sparse_peel_fingerprint("compact_sparse_hier", 16, 64, 4, 11)
+        return None, ios, fp
+    B = 4
     mach = EMMachine(M=2048, B=B)
-    oram = HierarchicalORAM(mach, n, make_rng(11))
+    if workload == "mixed":
+        n = 13
+        oram = HierarchicalORAM(mach, n, make_rng(11))
+        for t in range(3 * n):
+            if t % 3 == 0:
+                oram.read(t % n)
+            elif t % 3 == 1:
+                blk = np.zeros((B, 2), dtype=np.int64)
+                blk[0, 0] = t + 1
+                oram.write((t * 5) % n, blk)
+            else:
+                oram.update((t * 7) % n, lambda b: b + 1)
+        return oram.rebuilds, mach.total_ios, mach.trace.fingerprint()
+    n = 11
+    init = mach.alloc(n)
+    for j in range(n):
+        init.raw[j, 0, 0] = 3 * j + 1
+    oram = HierarchicalORAM(mach, n, make_rng(6), initial=init)
+    rng = np.random.default_rng(7)
     for t in range(3 * n):
+        i = int(rng.integers(0, n))
         if t % 3 == 0:
-            oram.read(t % n)
+            oram.read(i)
         elif t % 3 == 1:
             blk = np.zeros((B, 2), dtype=np.int64)
-            blk[0, 0] = t + 1
-            oram.write((t * 5) % n, blk)
+            blk[0, 0] = t + 100
+            oram.write(i, blk)
         else:
-            oram.update((t * 7) % n, lambda b: b + 1)
-    assert oram.rebuilds == 9
-    assert mach.total_ios == 9336
-    assert mach.trace.fingerprint() == (
-        "61527507bf8cefcd76f9fd791286cd43e2b32bb5415d1001fd63d5a0a70e4ee3"
-    )
+            oram.dummy_op()
+    out = mach.alloc(n)
+    oram.extract_to(out)
+    return oram.rebuilds, mach.total_ios, mach.trace.fingerprint()
+
+
+def test_golden_transcript_fingerprint():
+    """Pinned adversary views: each workload must reproduce its exact
+    trace byte for byte.  A change here means the hierarchical scheme's
+    schedule (probe counts, merge cadence, or sort events) changed —
+    re-derive deliberately."""
+    for workload, want in HIER_GOLDEN.items():
+        assert _hier_golden_run(workload) == want, workload
 
 
 class TestMakeOram:
