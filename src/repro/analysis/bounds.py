@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.core.compaction import wide_block_ok
+from repro.oram.hierarchical import hierarchy_shape
 from repro.util.mathx import log_base, log_star
 
 __all__ = [
@@ -73,19 +74,6 @@ def _r_blocks(n: int, params: Mapping) -> int:
     return int(params.get("_r_blocks", n))
 
 
-def _hier_shape(n_cells: int) -> tuple[int, int]:
-    """Geometry of :class:`repro.oram.hierarchical.HierarchicalORAM` on
-    ``n_cells`` items: ``(s0, L)`` with buffer size ``s0`` and top level
-    ``L`` (level ``k`` holds ``reals_k = s0·2^k`` items in a store of
-    ``caps_k = 2·s0·2^k`` slots).  Mirrors the constructor exactly."""
-    n_cells = max(1, n_cells)
-    s0 = max(4, int(math.log2(max(2, n_cells))) + 1)
-    L = 0
-    while s0 * (1 << L) < n_cells:
-        L += 1
-    return s0, L
-
-
 def _bsort_pair(K: float, m: int) -> float:
     """Measured cost of ``oblivious_block_sort`` moving a meta+payload
     array *pair* of ``K`` blocks at cache size ``m``: per-block cost fits
@@ -107,7 +95,7 @@ def _hier_access_ios(n_cells: int, m: int) -> float:
     block.  Overestimates measurement by ~1.2–1.3× at the reference
     shapes (n=128 cells, m=16: est 2801 vs 2290; n=256, m=32: 3128 vs
     2386) — within the documented ×4 envelope."""
-    s0, L = _hier_shape(n_cells)
+    s0, L = hierarchy_shape(n_cells)
     caps = [2 * s0 * (1 << k) for k in range(L + 1)]
     probes = 2.0 * s0 + 2.0
     for cap in caps:
@@ -128,7 +116,7 @@ def _hier_build_ios(n_cells: int, m: int) -> float:
     n source cells, write ``caps_L`` tagged slots twice) plus one paired
     oblivious sort of the level.  Est 48.7k vs measured 39.8k at
     (n=128 cells, m=16); 111k vs 89.3k at (n=256, m=32)."""
-    s0, L = _hier_shape(n_cells)
+    s0, L = hierarchy_shape(n_cells)
     cap_top = 2 * s0 * (1 << L)
     return 3.0 * n_cells + 2.0 * cap_top + _bsort_pair(cap_top, m)
 

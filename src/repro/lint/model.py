@@ -251,12 +251,32 @@ class Project:
                 other = self.modules.get(dotted)
                 if other and func.attr in other.functions:
                     return other.functions[func.attr]
-            # self.method() within a class body
+            # self.method() within a class body, inherited ones included
             if base == "self" and scope:
-                cls = scope.split(".")[0]
-                qual = f"{cls}.{func.attr}"
-                if qual in mod.functions:
-                    return mod.functions[qual]
+                return self.resolve_method(mod, scope.split(".")[0], func.attr)
+        return None
+
+    def resolve_method(
+        self, mod: ModuleInfo, cls: str, name: str, _seen: set | None = None
+    ) -> FunctionInfo | None:
+        """``cls.name`` as Python's method lookup finds it: the class's own
+        definition, else the first one along its bases (depth-first, in
+        declaration order), following imports to other modules."""
+        seen = _seen if _seen is not None else set()
+        if (mod.dotted, cls) in seen:
+            return None
+        seen.add((mod.dotted, cls))
+        if f"{cls}.{name}" in mod.functions:
+            return mod.functions[f"{cls}.{name}"]
+        for base in mod.class_bases.get(cls, ()):
+            owner: ModuleInfo | None = mod
+            if base not in mod.class_bases:
+                src_mod, base = mod.symbol_imports.get(base, ("", base))
+                owner = self.modules.get(src_mod)
+            if owner is not None:
+                found = self.resolve_method(owner, base, name, seen)
+                if found is not None:
+                    return found
         return None
 
     def class_fields_for(self, mod: ModuleInfo, name: str) -> tuple[str, ...] | None:

@@ -12,13 +12,16 @@ it (plus a linear-scan baseline):
   Goldreich–Ostrovsky hierarchical (log²-style) scheme, polylog
   amortized, larger constants.
 
-Both rebuild through the oblivious block sort, so the paper's closing
-observation — a faster oblivious sort improves ORAM simulation overhead —
-applies to either; experiment E9 (:func:`measure_oram_overhead`) measures
-where the crossover between them lands.  :func:`make_oram` maps a public
-backend name to a construction; the cost model
-(``analysis/bounds.py``) prices both so the plan optimizer can select the
-backend per shape.
+Both are layers over one tagged-store core
+(:mod:`repro.oram.tagged_store`): a fully scanned buffer plus tag-sorted
+stores probed by a fixed-length binary search and rebuilt through the
+oblivious block sort; each backend supplies only its layout and rebuild
+cadence.  So the paper's closing observation — a faster oblivious sort
+improves ORAM simulation overhead — applies to either; experiment E9
+(:func:`measure_oram_overhead`) measures where the crossover between
+them lands.  :func:`make_oram` maps a public backend name to a
+construction; the cost model (``analysis/bounds.py``) prices both so the
+plan optimizer can select the backend per shape.
 """
 
 from repro.oram.hierarchical import HierarchicalORAM

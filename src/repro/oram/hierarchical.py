@@ -1,32 +1,22 @@
 """Hierarchical (Goldreich–Ostrovsky log²-style) ORAM over the EM substrate.
 
-Layout: a *buffer* of ``s0`` slots (the top of the hierarchy, scanned in
-full on every access) plus ``L + 1`` *levels* of doubling capacity.
-Level ``k`` is a pair of parallel arrays of ``2 * s0 * 2^k`` slots —
-``s0 * 2^k`` for real items and as many for dummies — kept sorted by a
-per-level, per-epoch pseudorandom tag (the sorted-tag analogue of the
-classic hashed level).  Each slot is a meta block whose first record is
-``(tag_or_sortkey, logical_index)`` plus a payload block.
+Layout, on the shared tagged-store core (:mod:`repro.oram.tagged_store`):
+a *buffer* of ``s0`` slots (the top of the hierarchy) plus ``L + 1``
+*levels* of doubling capacity.  Level ``k`` is a store of
+``2 * s0 * 2^k`` slots — ``s0 * 2^k`` for real items and as many for
+dummies — kept sorted by a per-level, per-epoch pseudorandom tag (the
+sorted-tag analogue of the classic hashed level).  Each access probes
+every *occupied* level, youngest to oldest.
 
-Access protocol (one logical read, write, or read-modify-write):
-
-1. scan the entire buffer for the target index (freshest copy wins);
-2. probe every *occupied* level, youngest to oldest, by fixed-length
-   binary search on a pseudorandom tag — the target's tag under that
-   level's key while the item is still unfound, the level's next unused
-   dummy tag afterwards;
-3. append the (possibly updated) item to the next buffer slot.
-
-Every ``s0`` accesses the buffer spills: it is merged with levels
-``0 .. j-1`` into the smallest empty level ``j`` (binary-counter
-cadence), or with *every* level into level ``L`` when none is empty.  A
-merge is two oblivious block sorts plus fixed scans — copy sources under
-a composite ``index * span + staleness`` key, sort, dedup (freshest copy
-per index survives), re-tag under a fresh level key via ``_prf_many``
-(the first ``s0 * 2^j`` dummies get probe-able ranked tags, the surplus
-``+inf``), sort, truncate to the level's capacity.  Level ``j`` then
-lives exactly ``s0 * 2^j`` accesses before the counter consumes it, so
-its dummy budget — one per access — never runs dry.
+Cadence: every ``s0`` accesses the buffer spills: it is merged with
+levels ``0 .. j-1`` into the smallest empty level ``j`` (binary-counter
+cadence), or with *every* level into level ``L`` when none is empty.
+Level ``j`` then lives exactly ``s0 * 2^j`` accesses before the counter
+consumes it, so its dummy budget — one per access — never runs dry.
+Which levels are occupied is a public function of the access counter
+alone, and once an item is touched it sits in the buffer, then in a
+*younger* level, until the level is consumed — so its real tag is stale
+by the time the level could be probed for it again.
 
 Amortized cost: each access pays the ``2 s0`` buffer scan plus
 ``O(log n)`` probes of ``O(log n)`` I/Os each, and every level ``k``
@@ -35,49 +25,39 @@ its lifetime — ``O(log^2 n)``-ish per access per level, summed over
 ``O(log n)`` levels; contrast the square-root scheme's
 ``O(sqrt(n) log^2 n)``.  Experiment E9 (``oram/simulation.py``)
 measures where the crossover lands on this machine.
-
-Obliviousness: the buffer scan is fixed; which levels are occupied is a
-public function of the access counter alone; each probe's descent is a
-function of a fresh pseudorandom tag that is never searched twice within
-a level's lifetime (once an item is touched it sits in the buffer, then
-in a *younger* level, until the level is consumed — so its real tag is
-stale by the time the level could be probed for it again); the buffer
-append position is the access counter.  As with
-:class:`~repro.oram.square_root.SquareRootORAM` the guarantee is
-*distributional*: transcripts are bit-identical across data values and
-read/write/update op kinds at a fixed index schedule, while different
-index sequences give identically distributed probe positions
-(``tests/obliviousness.py`` pins both halves for this backend too).
-
-All hot loops — construction, the buffer scan, merges, extraction — run
-through the machine's batched engine
-(:meth:`repro.em.machine.EMMachine.io_rounds`) and emit exactly the
-event sequence of the equivalent scalar loops.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.core.block_sort import oblivious_block_sort
-from repro.em.batch import empty_blocks, hold_scan, scan_chunks
-from repro.em.errors import EMError
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
-from repro.oram.square_root import _INF_TAG, _Counters, _prf, _prf_many
+from repro.oram.tagged_store import Store, TaggedStoreORAM
 from repro.util.mathx import ilog2
 
-__all__ = ["HierarchicalORAM"]
+__all__ = ["HierarchicalORAM", "hierarchy_shape"]
 
 
-class HierarchicalORAM:
+def hierarchy_shape(n: int) -> tuple[int, int]:
+    """``(s0, L)`` of a hierarchical ORAM over ``n`` cells: the buffer
+    size ``s0 = max(4, log2(n) + 1)`` (the classic ``Theta(log n)`` top
+    level) and the smallest ``L`` with ``s0 * 2^L >= n``, so level ``L``
+    alone can hold everything.  Level ``k`` holds ``s0 * 2^k`` items in
+    a store of ``2 * s0 * 2^k`` slots."""
+    s0 = max(4, ilog2(max(2, n)) + 1)
+    L = 0
+    while s0 * (1 << L) < n:
+        L += 1
+    return s0, L
+
+
+class HierarchicalORAM(TaggedStoreORAM):
     """Oblivious memory of ``n`` logical blocks with polylog amortized cost.
 
     Drop-in sibling of :class:`~repro.oram.square_root.SquareRootORAM`:
-    same ``read``/``write``/``update``/``dummy_op``/``extract_to``/
-    ``free`` interface and the same meta/payload slot encoding.
+    the same tagged-store core, so the same interface and slot encoding.
 
     Parameters
     ----------
@@ -90,10 +70,6 @@ class HierarchicalORAM:
     initial:
         Optional ``EMArray`` of at least ``n`` blocks with initial payloads
         (copied in obliviously); otherwise cells start empty.
-    buffer_slots:
-        Size of the top buffer (default ``max(4, log2(n) + 1)``, the
-        classic ``Theta(log n)`` top level).  Larger buffers lengthen the
-        fixed per-access scan but halve the merge cadence.
     """
 
     def __init__(
@@ -104,448 +80,39 @@ class HierarchicalORAM:
         *,
         initial: EMArray | None = None,
         name: str = "horam",
-        buffer_slots: int | None = None,
     ) -> None:
-        if n < 1:
-            raise ValueError(f"ORAM needs at least one cell, got {n}")
-        if buffer_slots is not None and buffer_slots < 1:
-            raise ValueError(f"buffer_slots must be >= 1, got {buffer_slots}")
-        self.machine = machine
-        self.n = n
-        self.rng = rng
-        self.name = name
-        self.s0 = int(buffer_slots) if buffer_slots else max(4, ilog2(max(2, n)) + 1)
-        # Smallest L with s0 * 2^L >= n: level L alone can hold everything.
-        L = 0
-        while self.s0 * (1 << L) < n:
-            L += 1
-        self.L = L
+        super().__init__(machine, n, rng, name)
+        self.s0, self.L = hierarchy_shape(n)
         #: Real-slot capacity of level k — also its dummy budget and lifetime.
-        self.reals = [self.s0 * (1 << k) for k in range(L + 1)]
+        self.reals = [self.s0 << k for k in range(self.L + 1)]
         self.caps = [2 * r for r in self.reals]
-        self._counters = _Counters()
-        self._keys = [int(rng.integers(0, 2**62)) for _ in range(L + 1)]
-        self._dummies_used = [0] * (L + 1)
-        self._occupied = [False] * L + [True]
-        mach = machine
-        self.buf_meta = mach.alloc(self.s0, f"{name}.buf.meta")
-        self.buf_payload = mach.alloc(self.s0, f"{name}.buf.data")
-        self.level_meta = [
-            mach.alloc(self.caps[k], f"{name}.L{k}.meta") for k in range(L + 1)
+        keys = [self._fresh_key() for _ in self.reals]
+        self.buf_meta = self._alloc(self.s0, "buf.meta")
+        self.buf_payload = self._alloc(self.s0, "buf.data")
+        metas = [self._alloc(cap, f"L{k}.meta") for k, cap in enumerate(self.caps)]
+        payloads = [self._alloc(cap, f"L{k}.data") for k, cap in enumerate(self.caps)]
+        self.stores = [
+            Store(metas[k], payloads[k], keys[k], budget=self.reals[k],
+                  occupied=k == self.L)
+            for k in range(self.L + 1)
         ]
-        self.level_payload = [
-            mach.alloc(self.caps[k], f"{name}.L{k}.data") for k in range(L + 1)
-        ]
-        self._build_initial(initial)
-
-    # -- public API ---------------------------------------------------------
-
-    def read(self, i: int) -> np.ndarray:
-        """Obliviously read logical block ``i``."""
-        return self._access(i, None)
-
-    def write(self, i: int, block: np.ndarray) -> np.ndarray:
-        """Obliviously write logical block ``i``; returns the old value."""
-        return self._access(i, np.asarray(block, dtype=np.int64))
-
-    def update(self, i: int, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Read-modify-write in ONE access: store ``fn(current)`` at ``i``
-        and return the old value (transcript identical to read/write)."""
-        return self._access(i, None, update_fn=fn)
-
-    def dummy_op(self) -> None:
-        """Perform an access indistinguishable from a real one."""
-        self._access(None, None)
-
-    @property
-    def accesses(self) -> int:
-        return self._counters.accesses
-
-    @property
-    def rebuilds(self) -> int:
-        """Number of level merges performed (any size)."""
-        return self._counters.rebuilds
-
-    def free(self) -> None:
-        """Release every physical array; the ORAM is unusable afterwards."""
-        for arr in (self.buf_meta, self.buf_payload):
-            self.machine.free(arr)
-        for arr in self.level_meta + self.level_payload:
-            self.machine.free(arr)
-
-    def extract_to(self, out: EMArray) -> None:
-        """Obliviously dump the logical memory, in index order, into ``out``."""
-        if out.num_blocks < self.n:
-            raise ValueError(f"output needs {self.n} blocks, has {out.num_blocks}")
-        meta, payload = self._merge_sources(
-            [k for k in range(self.L + 1) if self._occupied[k]],
-            min_total=self.n,
-            sort_by_index=True,
-        )
-        mach = self.machine
-        recovered = 0
-        for lo, hi in scan_chunks(mach, self.n, streams=3):
-            with hold_scan(mach, 3, hi - lo):
-                metas, _, _ = mach.io_rounds([
-                    ("r", meta, (lo, hi)),
-                    ("r", payload, (lo, hi)),
-                    ("w", out, (lo, hi), lambda reads: reads[1]),
-                ])
-                recovered += int(np.count_nonzero(metas[:, 0, 1] < self.n))
-        for lo, hi in scan_chunks(mach, meta.num_blocks - self.n, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                metas, _ = mach.io_rounds([
-                    ("r", meta, (self.n + lo, self.n + hi)),
-                    ("r", payload, (self.n + lo, self.n + hi)),
-                ])
-                recovered += int(np.count_nonzero(metas[:, 0, 1] < self.n))
-        if recovered != self.n:  # oblint: public(recovered) -- extract integrity check: fires only on store corruption
-            raise EMError(f"ORAM extract recovered {recovered}/{self.n} cells")
-        mach.free(meta)
-        mach.free(payload)
-
-    # -- construction -------------------------------------------------------
-
-    def _empty_block(self) -> np.ndarray:
-        return empty_blocks(1, self.machine.B)[0]
-
-    def _meta_block(self, key: int, idx: int) -> np.ndarray:
-        blk = empty_blocks(1, self.machine.B)[0]
-        blk[0, 0] = key
-        blk[0, 1] = idx
-        return blk
-
-    def _meta_blocks(self, keys: np.ndarray, idxs: np.ndarray) -> np.ndarray:
-        blks = empty_blocks(len(keys), self.machine.B)
-        blks[:, 0, 0] = keys
-        blks[:, 0, 1] = idxs
-        return blks
-
-    def _build_initial(self, initial: EMArray | None) -> None:
-        """Seed level L with all ``n`` cells + its dummies, tag-sorted."""
-        mach = self.machine
-        L, key = self.L, self._keys[self.L]
-        meta, payload = self.level_meta[L], self.level_payload[L]
-        for lo, hi in scan_chunks(mach, self.n, streams=3):
-            idxs = np.arange(lo, hi, dtype=np.int64)
-            metas = self._meta_blocks(_prf_many(key, idxs), idxs)
-            with hold_scan(mach, 3, hi - lo):
-                if initial is not None:
-                    mach.io_rounds([
-                        ("r", initial, (lo, hi)),
-                        ("w", meta, (lo, hi), metas),
-                        ("w", payload, (lo, hi), lambda reads: reads[0]),
-                    ])
-                else:
-                    mach.io_rounds([
-                        ("w", meta, (lo, hi), metas),
-                        ("w", payload, (lo, hi), empty_blocks(hi - lo, mach.B)),
-                    ])
-        # Dummies tagged PRF(key, n), PRF(key, n+1), ...; the remainder of
-        # the level (capacity minus n reals minus the dummy budget) +inf.
-        d = self.reals[L]
-        for lo, hi in scan_chunks(mach, self.caps[L] - self.n, streams=2):
-            ranks = np.arange(lo, hi, dtype=np.int64)
-            tags = np.where(
-                ranks < d, _prf_many(key, self.n + ranks), _INF_TAG
-            )
-            metas = self._meta_blocks(tags, np.full(hi - lo, self.n, dtype=np.int64))
-            with hold_scan(mach, 2, hi - lo):
-                mach.io_rounds([
-                    ("w", meta, (self.n + lo, self.n + hi), metas),
-                    ("w", payload, (self.n + lo, self.n + hi),
-                     empty_blocks(hi - lo, mach.B)),
-                ])
-        oblivious_block_sort(mach, [meta, payload])
+        # Seed level L with all n cells + its dummies, tag-sorted.
+        top = self.stores[self.L]
+        self._seed_store(self.L, initial)
+        oblivious_block_sort(machine, [top.meta, top.payload])
         self._reset_buffer()
 
-    def _reset_buffer(self) -> None:
-        mach = self.machine
-        for lo, hi in scan_chunks(mach, self.s0, streams=2):
-            infs = self._meta_blocks(
-                np.full(hi - lo, _INF_TAG, dtype=np.int64),
-                np.full(hi - lo, self.n, dtype=np.int64),
-            )
-            with hold_scan(mach, 2, hi - lo):
-                mach.io_rounds([
-                    ("w", self.buf_meta, (lo, hi), infs),
-                    ("w", self.buf_payload, (lo, hi), empty_blocks(hi - lo, mach.B)),
-                ])
+    #: Bound on this class too, so instrumentation that patches the
+    #: access and merge entry points per class (``perfbench``) finds them.
+    _access = TaggedStoreORAM._access
 
-    # -- access -------------------------------------------------------------
+    def _spill(self) -> None:
+        """Binary-counter cadence: spill into the smallest empty level, or
+        rebuild the bottom level from everything when none is empty."""
+        j = next((k for k in range(self.L) if not self.stores[k].occupied), self.L)
+        self._merge_into(j, [k for k in range(j + 1) if self.stores[k].occupied])
 
-    def _access(
-        self,
-        i: int | None,
-        new_block: np.ndarray | None,
-        update_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Unified oblivious access; ``i=None`` performs a dummy access."""
-        if i is not None and not (0 <= i < self.n):
-            raise IndexError(f"logical index {i} out of range [0, {self.n})")
-        mach = self.machine
-        c = self._counters
-        found: np.ndarray | None = None
-        # 1. Scan the whole buffer (fixed pattern; freshest = latest slot).
-        for lo, hi in scan_chunks(mach, self.s0, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                metas, pays = mach.io_rounds([
-                    ("r", self.buf_meta, (lo, hi)),
-                    ("r", self.buf_payload, (lo, hi)),
-                ])
-                if i is not None:
-                    hits = np.flatnonzero(
-                        (metas[:, 0, 1] == i) & (metas[:, 0, 0] != _INF_TAG)
-                    )
-                    if len(hits):
-                        found = pays[hits[-1]].copy()
-        with mach.cache.hold(3):
-            # 2. Probe each occupied level, youngest to oldest.  Which
-            #    levels are occupied is a public function of the access
-            #    counter; the searched tag is fresh pseudorandomness
-            #    either way, so the descent leaks nothing.
-            for k in range(self.L + 1):
-                if not self._occupied[k]:
-                    continue
-                if i is None or found is not None:
-                    rank = self._dummies_used[k]
-                    if rank >= self.reals[k]:
-                        raise EMError(
-                            f"hierarchical ORAM level {k} exhausted its dummies"
-                        )
-                    self._dummies_used[k] += 1
-                    pay, hit = self._binary_search(k, _prf(self._keys[k], self.n + rank))
-                    if not hit:  # oblint: public(hit) -- dummy-probe integrity check: fires only on PRF tag collision or corruption
-                        raise EMError(
-                            "ORAM dummy probe missed its tag — tag collision "
-                            "or corrupted level"
-                        )
-                else:
-                    # Real probe: the item may live in an older level (or
-                    # not in this one at all) — a miss is a valid descent.
-                    pay, hit = self._binary_search(k, _prf(self._keys[k], i))
-                    if hit:
-                        found = pay
-            if i is not None and found is None:
-                raise EMError(f"hierarchical ORAM lost logical cell {i}")
-            # 3. Append to the buffer.
-            if update_fn is not None and i is not None:
-                value = update_fn(found if found is not None else self._empty_block())
-            elif new_block is None:
-                value = found
-            else:
-                value = new_block
-            if i is None:
-                buf_meta = self._meta_block(0, self.n)  # dummy entry
-                buf_payload = self._empty_block()
-            else:
-                buf_meta = self._meta_block(0, i)
-                buf_payload = value
-            mach.write(self.buf_meta, c.epoch_position, buf_meta)
-            mach.write(self.buf_payload, c.epoch_position, buf_payload)
-        c.accesses += 1
-        c.epoch_position += 1
-        if c.epoch_position == self.s0:
-            # Binary-counter cadence: spill into the smallest empty level,
-            # or rebuild the bottom level from everything when none is.
-            j = next((k for k in range(self.L) if not self._occupied[k]), None)
-            if j is None:
-                self._merge_into(self.L, include_target=True)
-            else:
-                self._merge_into(j, include_target=False)
-        if i is None:
-            return self._empty_block()
-        return found if found is not None else self._empty_block()
-
-    def _binary_search(self, k: int, tag: int) -> tuple[np.ndarray, bool]:
-        """Fixed-length binary search for ``tag`` in level ``k``.
-
-        Runs exactly ``ceil(log2(cap_k)) + 1`` probe iterations and one
-        payload read whether or not the tag is present; on a miss the
-        payload read lands at the descent's final position — like a hit,
-        a deterministic function of the (pseudorandom) tag's rank.
-        """
-        mach = self.machine
-        meta, payload = self.level_meta[k], self.level_payload[k]
-        nblk = meta.num_blocks
-        lo, hi = 0, nblk - 1
-        found_slot = -1
-        mid = 0
-        for _ in range(ilog2(nblk) + 2):
-            mid = (lo + hi) // 2  # oblint: public(mid) -- binary search over sorted PRF tags: the probe path depends only on pseudorandom tag order
-            mb = mach.read(meta, mid)
-            mid_tag = int(mb[0, 0])
-            if mid_tag == tag:
-                found_slot = mid
-            if mid_tag < tag:
-                lo = min(mid + 1, nblk - 1)
-            else:
-                hi = max(mid - 1, 0)
-        slot = found_slot if found_slot >= 0 else mid  # oblint: public(slot) -- slot in the tag-sorted level is determined by PRF tag order alone
-        return mach.read(payload, slot), found_slot >= 0
-
-    # -- merge / rebuild ----------------------------------------------------
-
-    def _merge_sources(
-        self,
-        src_levels: list[int],
-        *,
-        min_total: int,
-        sort_by_index: bool,
-    ) -> tuple[EMArray, EMArray]:
-        """Merge buffer + ``src_levels``, keep the freshest copy per index.
-
-        Returns (meta, payload) of ``max(min_total, buffer + sources)``
-        slots in post-dedup tag order, or sorted by index (real items a
-        sorted prefix) when ``sort_by_index``.
-        """
-        mach = self.machine
-        total_src = self.s0 + sum(self.caps[k] for k in src_levels)
-        total = max(total_src, min_total)
-        span = self.s0 + self.L + 2
-        meta = mach.alloc(total, f"{self.name}.merge.meta")
-        payload = mach.alloc(total, f"{self.name}.merge.data")
-        # Buffer first: slot p has staleness rank s0-1-p (later = fresher),
-        # every level k a constant rank s0+k (younger level = fresher).
-        for lo, hi in scan_chunks(mach, self.s0, streams=4):
-            with hold_scan(mach, 4, hi - lo):
-                def rekeyed_buf(reads, span=span, p0=lo):
-                    idx = reads[0][:, 0, 1]
-                    p = np.arange(p0, p0 + len(idx), dtype=np.int64)
-                    keys = np.where(
-                        idx < self.n, idx * span + (self.s0 - 1 - p), _INF_TAG
-                    )
-                    return self._meta_blocks(keys, idx)
-
-                mach.io_rounds([
-                    ("r", self.buf_meta, (lo, hi)),
-                    ("w", meta, (lo, hi), rekeyed_buf),
-                    ("r", self.buf_payload, (lo, hi)),
-                    ("w", payload, (lo, hi), lambda reads: reads[2]),
-                ])
-        off = self.s0
-        for k in src_levels:
-            rank_k = self.s0 + k
-            for lo, hi in scan_chunks(mach, self.caps[k], streams=4):
-                with hold_scan(mach, 4, hi - lo):
-                    def rekeyed_level(reads, span=span, rank=rank_k):
-                        idx = reads[0][:, 0, 1]
-                        keys = np.where(idx < self.n, idx * span + rank, _INF_TAG)
-                        return self._meta_blocks(keys, idx)
-
-                    mach.io_rounds([
-                        ("r", self.level_meta[k], (lo, hi)),
-                        ("w", meta, (off + lo, off + hi), rekeyed_level),
-                        ("r", self.level_payload[k], (lo, hi)),
-                        ("w", payload, (off + lo, off + hi),
-                         lambda reads: reads[2]),
-                    ])
-            off += self.caps[k]
-        for lo, hi in scan_chunks(mach, total - off, streams=2):
-            infs = self._meta_blocks(
-                np.full(hi - lo, _INF_TAG, dtype=np.int64),
-                np.full(hi - lo, self.n, dtype=np.int64),
-            )
-            with hold_scan(mach, 2, hi - lo):
-                mach.io_rounds([
-                    ("w", meta, (off + lo, off + hi), infs),
-                    ("w", payload, (off + lo, off + hi),
-                     empty_blocks(hi - lo, mach.B)),
-                ])
-        oblivious_block_sort(mach, [meta, payload])
-        # Dedup scan: the first slot of each index (freshest) survives.
-        prev_idx = -1
-        for lo, hi in scan_chunks(mach, meta.num_blocks, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                def deduped(reads, prev=prev_idx):
-                    mb = reads[0]
-                    idx = mb[:, 0, 1]
-                    shifted = np.concatenate(([prev], idx[:-1]))
-                    keep = (idx != shifted) & (idx < self.n)
-                    out = mb.copy()
-                    drop = ~keep
-                    out[drop] = self._meta_blocks(
-                        mb[drop, 0, 0],
-                        np.full(int(drop.sum()), self.n, dtype=np.int64),
-                    )
-                    return out
-
-                metas, _ = mach.io_rounds([
-                    ("r", meta, (lo, hi)),
-                    ("w", meta, (lo, hi), deduped),
-                ])
-                prev_idx = int(metas[-1, 0, 1])
-        if sort_by_index:
-            for lo, hi in scan_chunks(mach, meta.num_blocks, streams=2):
-                with hold_scan(mach, 2, hi - lo):
-                    def indexed(reads):
-                        idx = reads[0][:, 0, 1]
-                        keys = np.where(idx < self.n, idx, _INF_TAG)
-                        return self._meta_blocks(keys, idx)
-
-                    mach.io_rounds([
-                        ("r", meta, (lo, hi)),
-                        ("w", meta, (lo, hi), indexed),
-                    ])
-            oblivious_block_sort(mach, [meta, payload])
-        return meta, payload
-
-    def _merge_into(self, j: int, *, include_target: bool) -> None:
-        """Spill the buffer (+ levels below ``j``, + ``j`` itself on a full
-        merge) into level ``j`` under a fresh key."""
-        mach = self.machine
-        src_levels = [k for k in range(j) if self._occupied[k]]
-        if include_target:
-            src_levels.append(j)
-        meta, payload = self._merge_sources(
-            src_levels, min_total=self.caps[j], sort_by_index=False
-        )
-        new_key = int(self.rng.integers(0, 2**62))
-        d = self.reals[j]
-        # Fresh tags: reals by index, the first d dummies get probe-able
-        # ranked tags, surplus dummies +inf (truncated after the sort).
-        dummies_before = 0
-        for lo, hi in scan_chunks(mach, meta.num_blocks, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                def retagged(reads, base=dummies_before):
-                    mb = reads[0]
-                    idx = mb[:, 0, 1]
-                    is_dummy = idx >= self.n
-                    rank = base + np.cumsum(is_dummy) - 1
-                    tags = _prf_many(new_key, idx)
-                    dummy_tags = np.where(
-                        rank < d,
-                        _prf_many(new_key, self.n + np.maximum(rank, 0)),
-                        _INF_TAG,
-                    )
-                    return self._meta_blocks(
-                        np.where(is_dummy, dummy_tags, tags), idx
-                    )
-
-                metas, _ = mach.io_rounds([
-                    ("r", meta, (lo, hi)),
-                    ("w", meta, (lo, hi), retagged),
-                ])
-                dummies_before += int(np.count_nonzero(metas[:, 0, 1] >= self.n))
-        oblivious_block_sort(mach, [meta, payload])
-        # The first cap_j slots (all reals + the d fresh dummies) become
-        # the new level j; the +inf surplus is dropped.
-        for lo, hi in scan_chunks(mach, self.caps[j], streams=4):
-            with hold_scan(mach, 4, hi - lo):
-                mach.io_rounds([
-                    ("r", meta, (lo, hi)),
-                    ("w", self.level_meta[j], (lo, hi), lambda reads: reads[0]),
-                    ("r", payload, (lo, hi)),
-                    ("w", self.level_payload[j], (lo, hi), lambda reads: reads[2]),
-                ])
-        mach.free(meta)
-        mach.free(payload)
+    def _merge_into(self, j: int, levels: list[int]) -> None:
+        """Spill the buffer and ``levels`` into level ``j`` under a fresh key."""
+        self._free(*self._rebuild(j, levels))
         self._reset_buffer()
-        for k in src_levels:
-            self._occupied[k] = False
-        self._occupied[j] = True
-        self._keys[j] = new_key
-        self._dummies_used[j] = 0
-        c = self._counters
-        c.rebuilds += 1
-        c.epoch_position = 0

@@ -1,104 +1,37 @@
 """Square-root ORAM (Goldreich–Ostrovsky) over the EM substrate.
 
-Layout: a *store* of ``n + s`` slots (``s`` dummies) kept sorted by a
-per-epoch pseudorandom tag, plus a *shelter* of ``s`` slots.  Each slot is
-a pair of parallel blocks: a meta block whose first record is
-``(tag_or_sortkey, logical_index)`` and a payload block holding the user's
-data.
+Layout, on the shared tagged-store core (:mod:`repro.oram.tagged_store`):
+one *store* of ``n + s`` slots (the ``n`` cells plus ``s`` dummies) and a
+*shelter* — the core's buffer — of ``s`` slots.  Each access scans the
+shelter and probes the store once: the target's tag if it was not
+sheltered, the next unused dummy tag otherwise.
 
-Access protocol (one logical read, write, or read-modify-write):
-
-1. scan the entire shelter for the target index;
-2. probe the store by binary search on a pseudorandom tag — the target's
-   tag if it was not sheltered, the next unused dummy tag otherwise;
-3. append the (possibly updated) item to the next shelter slot.
-
-Every epoch (``s`` accesses) the shelter is merged back and the store is
-reshuffled under a fresh key, using the oblivious block sort — an
-``O((n + s) log^2 n)``-I/O rebuild.  With the default shelter of
+Cadence: every epoch (``s`` accesses) the shelter is merged back and the
+store is reshuffled under a fresh key, using the oblivious block sort —
+an ``O((n + s) log^2 n)``-I/O rebuild.  With the default shelter of
 ``s = ceil(sqrt(n))`` slots that is ``O(sqrt(n) log^2 n)`` amortized per
 access; ``shelter_factor`` scales ``s`` by an integer factor, trading a
 longer (still fixed) shelter scan for proportionally rarer rebuilds —
 the classic epoch-length optimization, worth a ``log n`` factor when the
 rebuild dominates (as it does in the Theorem-4 peel; see
-:func:`repro.core.compaction.tight_compact_sparse`).
-
-Obliviousness: the shelter scan is fixed; the binary-search probe path is
-a function of a fresh pseudorandom tag that is never queried twice within
-an epoch; the shelter append position is the access counter.  None of it
-depends on the logical access sequence.  Note the guarantee is
-*distributional* (the paper's §1 definition): at a fixed seed the probe
-path tracks the searched tag's rank, so transcripts are bit-identical
-across data *values* and read/write/update op kinds, while different
-logical index sequences produce different — identically distributed —
-probe positions (``tests/obliviousness.py`` pins both halves).
-
-The hot loops — construction, the shelter scan, the merge/dedup, the
-rebuild and the extraction — run through the machine's batched engine
-(:meth:`repro.em.machine.EMMachine.io_rounds`) and emit *exactly* the
-event sequence of the equivalent scalar loops, so I/O counts and traces
-are unchanged from the scalar formulation (pinned by golden fingerprints
-in ``tests/test_oram.py``).
+:func:`repro.core.compaction.tight_compact_sparse`).  A store tag is
+never searched twice within an epoch, and the ``s`` dummies cover one
+dummy probe per access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from repro.core.block_sort import oblivious_block_sort
-from repro.em.batch import empty_blocks, hold_scan, scan_chunks
-from repro.em.block import NULL_KEY, RECORD_WIDTH
-from repro.em.errors import EMError
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
-from repro.util.mathx import ceil_div, ilog2
+from repro.oram.tagged_store import Store, TaggedStoreORAM
 
 __all__ = ["SquareRootORAM"]
 
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-#: Tag assigned to surplus dummies discarded during a rebuild.
-_INF_TAG = int(np.iinfo(np.int64).max)
 
-
-def _prf(key: int, x: int) -> int:
-    """63-bit pseudorandom tag for slot ``x`` under epoch ``key``."""
-    v = (key ^ (x * _GOLDEN)) & _MASK64
-    v = (v + _GOLDEN) & _MASK64
-    v ^= v >> 30
-    v = (v * _MIX1) & _MASK64
-    v ^= v >> 27
-    v = (v * _MIX2) & _MASK64
-    v ^= v >> 31
-    return v & 0x7FFFFFFFFFFFFFFE  # < INF_TAG
-
-
-def _prf_many(key: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_prf` (bit-exact: uint64 wraparound == mask)."""
-    v = np.uint64(key) ^ (xs.astype(np.uint64) * np.uint64(_GOLDEN))
-    v = v + np.uint64(_GOLDEN)
-    v ^= v >> np.uint64(30)
-    v *= np.uint64(_MIX1)
-    v ^= v >> np.uint64(27)
-    v *= np.uint64(_MIX2)
-    v ^= v >> np.uint64(31)
-    return (v & np.uint64(0x7FFFFFFFFFFFFFFE)).astype(np.int64)
-
-
-@dataclass
-class _Counters:
-    accesses: int = 0
-    rebuilds: int = 0
-    epoch_position: int = 0
-    dummies_used: int = 0
-
-
-class SquareRootORAM:
+class SquareRootORAM(TaggedStoreORAM):
     """Oblivious memory of ``n`` logical blocks.
 
     Parameters
@@ -120,6 +53,9 @@ class SquareRootORAM:
         workloads (the Theorem-4 peel) pass ``log2(n) + 2``.
     """
 
+    #: A rebuild copies the store before the shelter.
+    _buffer_first = False
+
     def __init__(
         self,
         machine: EMMachine,
@@ -130,409 +66,27 @@ class SquareRootORAM:
         name: str = "oram",
         shelter_factor: int = 1,
     ) -> None:
-        if n < 1:
-            raise ValueError(f"ORAM needs at least one cell, got {n}")
+        super().__init__(machine, n, rng, name)
         if shelter_factor < 1:
             raise ValueError(f"shelter_factor must be >= 1, got {shelter_factor}")
-        self.machine = machine
-        self.n = n
-        self.rng = rng
-        self.s = max(1, ceil_div(int(np.ceil(np.sqrt(n))), 1)) * int(shelter_factor)
+        self.s = max(1, int(np.ceil(np.sqrt(n)))) * int(shelter_factor)
         self.n_store = n + self.s
-        self.name = name
-        self._counters = _Counters()
-        self._key = int(rng.integers(0, 2**62))
-        mach = machine
-        self.store_meta = mach.alloc(self.n_store, f"{name}.store.meta")
-        self.store_payload = mach.alloc(self.n_store, f"{name}.store.data")
-        self.shelter_meta = mach.alloc(self.s, f"{name}.shelter.meta")
-        self.shelter_payload = mach.alloc(self.s, f"{name}.shelter.data")
-        self._build_initial(initial)
-
-    # -- public API ---------------------------------------------------------
-
-    def read(self, i: int) -> np.ndarray:
-        """Obliviously read logical block ``i``."""
-        return self._access(i, None)
-
-    def write(self, i: int, block: np.ndarray) -> np.ndarray:
-        """Obliviously write logical block ``i``; returns the old value."""
-        return self._access(i, np.asarray(block, dtype=np.int64))
-
-    def update(self, i: int, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Read-modify-write in ONE access: store ``fn(current)`` at ``i``
-        and return the old value.
-
-        The transcript is identical to :meth:`read` / :meth:`write` (the
-        access protocol never depends on whether the shelter append
-        carries the old, a fresh, or a derived value), so fixed-schedule
-        programs like the Theorem-4 peel halve their access counts by
-        folding each read+write pair into one ``update``.
-        """
-        return self._access(i, None, update_fn=fn)
-
-    def dummy_op(self) -> None:
-        """Perform an access indistinguishable from a real one.
-
-        Fixed-schedule programs (like the Theorem-4 peeling loop) call
-        this when they have no real work in a step.
-        """
-        self._access(None, None)
-
-    @property
-    def accesses(self) -> int:
-        return self._counters.accesses
-
-    @property
-    def rebuilds(self) -> int:
-        return self._counters.rebuilds
-
-    def free(self) -> None:
-        """Release the store and shelter arrays (adversary-visible, like
-        any free); the ORAM is unusable afterwards.  Embedding algorithms
-        (the Theorem-4 peel, the ``oram_read_batch`` pipeline step) call
-        this so sessions do not accumulate dead simulation arrays."""
-        for arr in (
-            self.store_meta,
-            self.store_payload,
-            self.shelter_meta,
-            self.shelter_payload,
-        ):
-            self.machine.free(arr)
-
-    def extract_to(self, out: EMArray) -> None:
-        """Obliviously dump the logical memory, in index order, into ``out``.
-
-        Performs a rebuild-style merge sorted by logical index and scans
-        the result out; the ORAM is left unusable afterwards.
-        """
-        if out.num_blocks < self.n:
-            raise ValueError(f"output needs {self.n} blocks, has {out.num_blocks}")
-        meta, payload = self._merge_dedup(sort_by_index=True)
-        mach = self.machine
-        # Real items are a sorted-by-index prefix after the merge, so the
-        # scalar loop's conditional write fires exactly on the first n
-        # rounds: scan the prefix with a fused R/R/W stream, the tail with
-        # R/R — the same event sequence, validated after the fact.
-        recovered = 0
-        for lo, hi in scan_chunks(mach, self.n, streams=3):
-            with hold_scan(mach, 3, hi - lo):
-                metas, _, _ = mach.io_rounds([
-                    ("r", meta, (lo, hi)),
-                    ("r", payload, (lo, hi)),
-                    ("w", out, (lo, hi), lambda reads: reads[1]),
-                ])
-                recovered += int(np.count_nonzero(metas[:, 0, 1] < self.n))
-        for lo, hi in scan_chunks(mach, meta.num_blocks - self.n, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                metas, _ = mach.io_rounds([
-                    ("r", meta, (self.n + lo, self.n + hi)),
-                    ("r", payload, (self.n + lo, self.n + hi)),
-                ])
-                recovered += int(np.count_nonzero(metas[:, 0, 1] < self.n))
-        if recovered != self.n:  # oblint: public(recovered) -- extract integrity check: fires only on store corruption
-            raise EMError(f"ORAM extract recovered {recovered}/{self.n} cells")
-        mach.free(meta)
-        mach.free(payload)
-
-    # -- construction ----------------------------------------------------------
-
-    def _empty_block(self) -> np.ndarray:
-        blk = np.full((self.machine.B, RECORD_WIDTH), 0, dtype=np.int64)
-        blk[:, 0] = NULL_KEY
-        return blk
-
-    def _meta_block(self, key: int, idx: int) -> np.ndarray:
-        blk = np.full((self.machine.B, RECORD_WIDTH), 0, dtype=np.int64)
-        blk[:, 0] = NULL_KEY
-        blk[0, 0] = key
-        blk[0, 1] = idx
-        return blk
-
-    def _meta_blocks(self, keys: np.ndarray, idxs: np.ndarray) -> np.ndarray:
-        """Stack of meta blocks: byte-identical to ``_meta_block`` rows."""
-        blks = empty_blocks(len(keys), self.machine.B)
-        blks[:, 0, 0] = keys
-        blks[:, 0, 1] = idxs
-        return blks
-
-    def _build_initial(self, initial: EMArray | None) -> None:
-        mach = self.machine
-        # Store prefix [0, n): real cells — R initial, W meta, W payload
-        # per slot when seeded, W meta, W payload otherwise.
-        for lo, hi in scan_chunks(mach, self.n, streams=3):
-            tags = _prf_many(self._key, np.arange(lo, hi, dtype=np.int64))
-            metas = self._meta_blocks(tags, np.arange(lo, hi, dtype=np.int64))
-            with hold_scan(mach, 3, hi - lo):
-                if initial is not None:
-                    mach.io_rounds([
-                        ("r", initial, (lo, hi)),
-                        ("w", self.store_meta, (lo, hi), metas),
-                        ("w", self.store_payload, (lo, hi), lambda reads: reads[0]),
-                    ])
-                else:
-                    mach.io_rounds([
-                        ("w", self.store_meta, (lo, hi), metas),
-                        ("w", self.store_payload, (lo, hi), empty_blocks(hi - lo, mach.B)),
-                    ])
-        # Store suffix [n, n_store): dummies, tagged PRF(key, n), PRF(key, n+1), ...
-        for lo, hi in scan_chunks(mach, self.s, streams=2):
-            tags = _prf_many(
-                self._key, np.arange(self.n + lo, self.n + hi, dtype=np.int64)
-            )
-            metas = self._meta_blocks(
-                tags, np.full(hi - lo, self.n, dtype=np.int64)
-            )
-            with hold_scan(mach, 2, hi - lo):
-                mach.io_rounds([
-                    ("w", self.store_meta, (self.n + lo, self.n + hi), metas),
-                    ("w", self.store_payload, (self.n + lo, self.n + hi),
-                     empty_blocks(hi - lo, mach.B)),
-                ])
-        for lo, hi in scan_chunks(mach, self.s, streams=2):
-            infs = self._meta_blocks(
-                np.full(hi - lo, _INF_TAG, dtype=np.int64),
-                np.full(hi - lo, self.n, dtype=np.int64),
-            )
-            with hold_scan(mach, 2, hi - lo):
-                mach.io_rounds([
-                    ("w", self.shelter_meta, (lo, hi), infs),
-                    ("w", self.shelter_payload, (lo, hi), empty_blocks(hi - lo, mach.B)),
-                ])
-        # The tag of logical cell i is PRF(key, i) (slot == idx for real
-        # cells); dummies continue the numbering at n, n+1, ...  Record the
-        # dummy numbering base so probes can find them.
-        self._dummy_base = self.n
-        oblivious_block_sort(
-            self.machine, [self.store_meta, self.store_payload]
+        key = self._fresh_key()
+        store = Store(
+            self._alloc(self.n_store, "store.meta"),
+            self._alloc(self.n_store, "store.data"),
+            key,
+            budget=self.s,
         )
+        self.stores = [store]
+        self.buf_meta = self._alloc(self.s, "shelter.meta")
+        self.buf_payload = self._alloc(self.s, "shelter.data")
+        self._seed_store(0, initial)
+        self._reset_buffer()
+        oblivious_block_sort(machine, [store.meta, store.payload])
 
-    # -- access ------------------------------------------------------------------
-
-    def _access(
-        self,
-        i: int | None,
-        new_block: np.ndarray | None,
-        update_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Unified oblivious access; ``i=None`` performs a dummy access."""
-        if i is not None and not (0 <= i < self.n):
-            raise IndexError(f"logical index {i} out of range [0, {self.n})")
-        mach = self.machine
-        c = self._counters
-        found: np.ndarray | None = None
-        # 1. Scan the whole shelter (fixed pattern): R meta t, R payload t
-        #    per slot, batched chunk-wise — the scalar loop's event order.
-        for lo, hi in scan_chunks(mach, self.s, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                metas, pays = mach.io_rounds([
-                    ("r", self.shelter_meta, (lo, hi)),
-                    ("r", self.shelter_payload, (lo, hi)),
-                ])
-                if i is not None:
-                    hits = np.flatnonzero(
-                        (metas[:, 0, 1] == i) & (metas[:, 0, 0] != _INF_TAG)
-                    )
-                    if len(hits):
-                        found = pays[hits[-1]].copy()  # freshest (latest) copy
-        with mach.cache.hold(3):
-            # 2. Probe the store: real tag if unseen, else next dummy tag.
-            if i is None or found is not None:
-                probe_tag = _prf(self._key, self._dummy_base + c.dummies_used)
-                c.dummies_used += 1
-                if c.dummies_used > self.s:
-                    raise EMError("square-root ORAM exhausted its dummies")
-            else:
-                probe_tag = _prf(self._key, i)
-            slot_payload = self._binary_search(probe_tag)
-            if found is None and i is not None:
-                found = slot_payload
-            # 3. Append to the shelter.
-            if update_fn is not None and i is not None:
-                value = update_fn(found if found is not None else self._empty_block())
-            elif new_block is None:
-                value = found
-            else:
-                value = new_block
-            if i is None:
-                shelter_meta = self._meta_block(0, self.n)  # dummy entry
-                shelter_payload = self._empty_block()
-            else:
-                shelter_meta = self._meta_block(0, i)
-                shelter_payload = value
-            mach.write(self.shelter_meta, c.epoch_position, shelter_meta)
-            mach.write(self.shelter_payload, c.epoch_position, shelter_payload)
-        c.accesses += 1
-        c.epoch_position += 1
-        if c.epoch_position == self.s:
-            self._rebuild()
-        if i is None:
-            return self._empty_block()
-        # Reads and updates return the pre-access value; writes return the
-        # displaced one.
-        return found if found is not None else self._empty_block()
-
-    def _binary_search(self, tag: int) -> np.ndarray:
-        """Fixed-length binary search for ``tag`` in the tag-sorted store.
-
-        Runs exactly ``ceil(log2(n_store)) + 1`` probe iterations
-        regardless of where the tag is found, then one payload read.
-        Each iteration's position depends on the previous comparison, so
-        the loop stays scalar — it is ``O(log n)`` I/Os, not a hot loop.
-        """
-        mach = self.machine
-        lo, hi = 0, self.n_store - 1
-        found_slot = -1
-        iters = ilog2(self.n_store) + 2
-        for _ in range(iters):
-            mid = (lo + hi) // 2  # oblint: public(mid) -- binary search over sorted PRF tags: the probe path depends only on pseudorandom tag order
-            mb = mach.read(self.store_meta, mid)
-            mid_tag = int(mb[0, 0])
-            if mid_tag == tag:
-                found_slot = mid
-            if mid_tag < tag:
-                lo = min(mid + 1, self.n_store - 1)
-            else:
-                hi = max(mid - 1, 0)
-        if found_slot < 0:  # oblint: public(found_slot) -- probe-miss integrity check: fires only on PRF tag collision or corruption
-            raise EMError(
-                "ORAM probe missed its tag — tag collision or corrupted store"
-            )
-        return mach.read(self.store_payload, found_slot)  # oblint: public(found_slot) -- slot position in the tag-sorted store is pseudorandom (PRF output)
-
-    # -- rebuild ------------------------------------------------------------------
-
-    def _merge_dedup(self, *, sort_by_index: bool) -> tuple[EMArray, EMArray]:
-        """Merge store + shelter, keep freshest copy per index, mark the
-        rest dummy.  Returns (meta, payload) sorted by index (real items
-        first) when ``sort_by_index`` else left in post-dedup order."""
-        mach = self.machine
-        total = self.n_store + self.s
-        fresh_span = total + 2
-        meta = mach.alloc(total, f"{self.name}.merge.meta")
-        payload = mach.alloc(total, f"{self.name}.merge.data")
-        # Copy store (freshness 0) then shelter (freshness t+1), with a
-        # composite sort key idx * span + (span - 1 - freshness).  Event
-        # order per slot: R src meta, W meta, R src payload, W payload.
-        for lo, hi in scan_chunks(mach, self.n_store, streams=4):
-            with hold_scan(mach, 4, hi - lo):
-                def rekeyed(reads, span=fresh_span):
-                    idx = reads[0][:, 0, 1]
-                    return self._meta_blocks(idx * span + (span - 1), idx)
-
-                mach.io_rounds([
-                    ("r", self.store_meta, (lo, hi)),
-                    ("w", meta, (lo, hi), rekeyed),
-                    ("r", self.store_payload, (lo, hi)),
-                    ("w", payload, (lo, hi), lambda reads: reads[2]),
-                ])
-        for lo, hi in scan_chunks(mach, self.s, streams=4):
-            with hold_scan(mach, 4, hi - lo):
-                def rekeyed_shelter(reads, span=fresh_span, t0=lo):
-                    idx = reads[0][:, 0, 1]
-                    t = np.arange(t0, t0 + len(idx), dtype=np.int64)
-                    return self._meta_blocks(idx * span + (span - 2 - t), idx)
-
-                mach.io_rounds([
-                    ("r", self.shelter_meta, (lo, hi)),
-                    ("w", meta, (self.n_store + lo, self.n_store + hi), rekeyed_shelter),
-                    ("r", self.shelter_payload, (lo, hi)),
-                    ("w", payload, (self.n_store + lo, self.n_store + hi),
-                     lambda reads: reads[2]),
-                ])
-        oblivious_block_sort(mach, [meta, payload])
-        # Dedup scan: the first slot of each index (freshest) survives.
-        # Sorted order makes "is a duplicate" a comparison with the
-        # previous slot's index, carried across chunks.
-        prev_idx = -1
-        for lo, hi in scan_chunks(mach, meta.num_blocks, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                def deduped(reads, prev=prev_idx):
-                    mb = reads[0]
-                    idx = mb[:, 0, 1]
-                    shifted = np.concatenate(([prev], idx[:-1]))
-                    keep = (idx != shifted) & (idx < self.n)
-                    out = mb.copy()
-                    drop = ~keep
-                    dummies = self._meta_blocks(
-                        mb[drop, 0, 0], np.full(int(drop.sum()), self.n, dtype=np.int64)
-                    )
-                    out[drop] = dummies
-                    return out
-
-                metas, _ = mach.io_rounds([
-                    ("r", meta, (lo, hi)),
-                    ("w", meta, (lo, hi), deduped),
-                ])
-                prev_idx = int(metas[-1, 0, 1])
-        if sort_by_index:
-            for lo, hi in scan_chunks(mach, meta.num_blocks, streams=2):
-                with hold_scan(mach, 2, hi - lo):
-                    def indexed(reads):
-                        idx = reads[0][:, 0, 1]
-                        keys = np.where(idx < self.n, idx, _INF_TAG)
-                        return self._meta_blocks(keys, idx)
-
-                    mach.io_rounds([
-                        ("r", meta, (lo, hi)),
-                        ("w", meta, (lo, hi), indexed),
-                    ])
-            oblivious_block_sort(mach, [meta, payload])
-        return meta, payload
-
-    def _rebuild(self) -> None:
-        """End-of-epoch reshuffle under a fresh key."""
-        mach = self.machine
-        meta, payload = self._merge_dedup(sort_by_index=False)
-        self._key = int(self.rng.integers(0, 2**62))
-        # Assign fresh tags: real items by index, the first s dummies get
-        # fresh dummy tags, surplus dummies get +inf (truncated after sort).
-        dummies_before = 0
-        for lo, hi in scan_chunks(mach, meta.num_blocks, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                def retagged(reads, base=dummies_before):
-                    mb = reads[0]
-                    idx = mb[:, 0, 1]
-                    is_dummy = idx >= self.n
-                    rank = base + np.cumsum(is_dummy) - 1  # rank of each dummy
-                    tags = _prf_many(self._key, idx)
-                    dummy_tags = np.where(
-                        rank < self.s,
-                        _prf_many(self._key, self._dummy_base + np.maximum(rank, 0)),
-                        _INF_TAG,
-                    )
-                    return self._meta_blocks(
-                        np.where(is_dummy, dummy_tags, tags), idx
-                    )
-
-                metas, _ = mach.io_rounds([
-                    ("r", meta, (lo, hi)),
-                    ("w", meta, (lo, hi), retagged),
-                ])
-                dummies_before += int(np.count_nonzero(metas[:, 0, 1] >= self.n))
-        oblivious_block_sort(mach, [meta, payload])
-        # First n_store slots become the new store; clear the shelter.
-        for lo, hi in scan_chunks(mach, self.n_store, streams=4):
-            with hold_scan(mach, 4, hi - lo):
-                mach.io_rounds([
-                    ("r", meta, (lo, hi)),
-                    ("w", self.store_meta, (lo, hi), lambda reads: reads[0]),
-                    ("r", payload, (lo, hi)),
-                    ("w", self.store_payload, (lo, hi), lambda reads: reads[2]),
-                ])
-        for lo, hi in scan_chunks(mach, self.s, streams=2):
-            with hold_scan(mach, 2, hi - lo):
-                infs = self._meta_blocks(
-                    np.full(hi - lo, _INF_TAG, dtype=np.int64),
-                    np.full(hi - lo, self.n, dtype=np.int64),
-                )
-                mach.io_rounds([
-                    ("w", self.shelter_meta, (lo, hi), infs),
-                    ("w", self.shelter_payload, (lo, hi), empty_blocks(hi - lo, mach.B)),
-                ])
-        mach.free(meta)
-        mach.free(payload)
-        c = self._counters
-        c.rebuilds += 1
-        c.epoch_position = 0
-        c.dummies_used = 0
+    def _spill(self) -> None:
+        """End-of-epoch reshuffle of the store under a fresh key."""
+        scratch = self._rebuild(0, [0])
+        self._reset_buffer()
+        self._free(*scratch)

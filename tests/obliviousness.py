@@ -344,7 +344,7 @@ def interleaved_tenant_fingerprints(
 # * the *full* transcript, indices included, across data values and
 #   read/write/update op kinds at a fixed index schedule — the probe path
 #   never depends on what is stored or which kind of access runs;
-# * the fixed-length ``_binary_search`` probe schedule: every access pays
+# * the fixed-length ``_probe`` binary-search schedule: every access pays
 #   exactly ``ilog2(store slots) + 2`` meta probes and one payload read
 #   per probed store (the shelter+main store for square-root; every
 #   occupied level for hierarchical), found-early or not.
@@ -405,20 +405,16 @@ def oram_probe_counts(n: int, accesses: int, **kwargs) -> tuple[int, int]:
     """(store-meta reads, store-payload reads) per access, measured over
     ``accesses`` reads inside one epoch (no rebuild/merge in the window).
 
-    For the square-root backend the store is the single
-    ``store_meta``/``store_payload`` pair; for the hierarchical backend
-    it is the union of the per-level arrays (only level L is occupied
-    before the first merge, so the window probes exactly that store)."""
+    The store is the union of the backend's tag-sorted ``stores`` (the
+    square-root backend has one; for the hierarchical backend only level
+    L is occupied before the first merge, so the window probes exactly
+    that store)."""
     machine, oram, events = oram_transcript(
         n, [("read", t % n) for t in range(accesses)], **kwargs
     )
     assert oram.rebuilds == 0, "probe-count window must stay inside an epoch"
-    if hasattr(oram, "store_meta"):
-        meta_ids = {oram.store_meta.array_id}
-        payload_ids = {oram.store_payload.array_id}
-    else:
-        meta_ids = {arr.array_id for arr in oram.level_meta}
-        payload_ids = {arr.array_id for arr in oram.level_payload}
+    meta_ids = {st.meta.array_id for st in oram.stores}
+    payload_ids = {st.payload.array_id for st in oram.stores}
     reads = events[events[:, 0] == 0]
     meta = int(np.count_nonzero(np.isin(reads[:, 1], list(meta_ids))))
     payload = int(np.count_nonzero(np.isin(reads[:, 1], list(payload_ids))))

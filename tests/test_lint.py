@@ -279,6 +279,19 @@ class TestAnalyzerTeeth:
         finally:
             path.unlink()
 
+    def test_inherited_method_sink_fires(self):
+        """``self.m()`` resolves along the class's bases, across modules,
+        so a tainted argument reaching an inherited method's sink fires."""
+        project = _fixture_project("inherited_base", "inherited_violations")
+        mod = _module(project, "inherited_violations")
+        callee = project.resolve_method(mod, "Leaky", "_probe")
+        assert callee is not None and callee.qualname.endswith("ProbeBase._probe")
+        _, findings = analyze_function(
+            mod.functions["Leaky.lookup"], project, report=True
+        )
+        assert [(f.rule, f.line) for f in findings] == [("OBL102", 15)]
+        assert "via _probe()" in findings[0].message
+
     def test_reachability_crosses_modules(self, repo_report):
         # Spot-check on the real repo: the sort runner's closure spans
         # many modules (sorting -> failure_sweep -> butterfly ...).

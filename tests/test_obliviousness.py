@@ -382,7 +382,7 @@ def test_hierarchical_probe_schedule_is_fixed_length(n):
     from repro.util.mathx import ilog2
 
     _, oram, _ = oram_transcript(n, [], backend="hierarchical")
-    assert oram._occupied == [False] * oram.L + [True]
+    assert [st.occupied for st in oram.stores] == [False] * oram.L + [True]
     want_meta = ilog2(oram.caps[-1]) + 2
     meta_per_access, payload_per_access = oram_probe_counts(
         n, accesses=max(1, oram.s0 - 1), backend="hierarchical"

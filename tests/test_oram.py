@@ -7,8 +7,10 @@ from repro.api import EMConfig, ObliviousSession
 from repro.core.block_sort import oblivious_block_sort
 from repro.em import EMMachine, make_block
 from repro.em.block import NULL_KEY, is_empty
-from repro.oram import SquareRootORAM
+from repro.em.errors import EMError
+from repro.oram import ORAM_BACKENDS, SquareRootORAM, make_oram
 from repro.oram.simulation import measure_oram_overhead
+from repro.oram.tagged_store import _prf
 from repro.util.rng import make_rng
 
 
@@ -151,7 +153,7 @@ def _trace_shape(machine):
 
 def _store_probe_positions(machine, oram):
     """Indices of reads into the store payload array (the random probes)."""
-    aid = oram.store_payload.array_id
+    aid = oram.stores[0].payload.array_id
     return [e.index for e in machine.trace if e.array_id == aid and int(e.op) == 0]
 
 
@@ -280,6 +282,53 @@ class TestUpdateAccess:
             return mach.trace.fingerprint()
 
         assert run("read") == run("write") == run("update")
+
+
+def _slot_of(store, col, value):
+    """Slot of ``store`` whose meta record holds ``value`` in ``col``
+    (0: tag, 1: logical index), read through the omniscient view."""
+    return int(np.flatnonzero(store.meta.raw[:, 0, col] == value)[0])
+
+
+@pytest.mark.parametrize("backend", ORAM_BACKENDS)
+class TestIntegrityFailures:
+    """The shared core's integrity checks surface a corrupted store as a
+    typed ``EMError`` on either backend.  Each test corrupts the store
+    that holds every cell right after construction (the square-root
+    store; the hierarchical bottom level).  Tags are even, so ``+1``
+    keeps the store sorted but makes the tag unsearchable."""
+
+    def _oram(self, backend):
+        mach = EMMachine(M=2048, B=4)
+        oram = make_oram(backend, mach, 6, make_rng(3))
+        return mach, oram, oram.stores[-1]
+
+    def test_real_probe_miss(self, backend):
+        _, oram, st = self._oram(backend)
+        st.meta.raw[_slot_of(st, 1, 2), 0, 0] += 1
+        with pytest.raises(EMError, match="lost logical cell 2"):
+            oram.read(2)
+
+    def test_dummy_probe_miss(self, backend):
+        _, oram, st = self._oram(backend)
+        # A dummy access searches the store's rank-0 dummy tag first.
+        st.meta.raw[_slot_of(st, 0, _prf(st.key, oram.n)), 0, 0] += 1
+        with pytest.raises(EMError, match="dummy probe missed"):
+            oram.dummy_op()
+
+    def test_dummy_exhaustion(self, backend):
+        # The cadence rebuilds every store before its budget runs out, so
+        # no storage corruption reaches this check: spend the budget.
+        _, oram, st = self._oram(backend)
+        st.dummies_used = st.budget
+        with pytest.raises(EMError, match="exhausted its dummies"):
+            oram.dummy_op()
+
+    def test_extract_recovered_count_mismatch(self, backend):
+        mach, oram, st = self._oram(backend)
+        st.meta.raw[_slot_of(st, 1, 4), 0, 1] = 3  # cell 4 now claims index 3
+        with pytest.raises(EMError, match="recovered 5/6 cells"):
+            oram.extract_to(mach.alloc(6))
 
 
 class TestShelterFactor:
