@@ -1,151 +1,69 @@
-"""E10 — the §1 definition itself: for EVERY algorithm in the library,
-the adversary's view is independent of the data.
+"""E10 — the §1 definition itself: for EVERY registered oblivious
+algorithm, the adversary's view is independent of the data.
 
-Runs each algorithm over the standard adversarial input family
-(all-equal / sorted / reversed / random) with a fixed seed and demands
-byte-identical traces (distribution-oblivious ORAM-based paths are
-covered by shape checks in the unit tests; everything here is
-trace-exact)."""
+Each algorithm runs through
+:func:`repro.oblivious.assert_adversary_view_invariant` at the checker's
+fixed seed over several :func:`~repro.oblivious.workload` draws (same
+public shape, fresh private contents).  The record-input sorts,
+selection and quantiles also run the standard adversarial input family
+(all-equal / sorted / reversed / random keys).  Lemma 3 consolidation
+and the Lemma 2 sort are covered as sub-steps of ``compact``, ``select``
+and ``quantiles``.  Every check is trace-exact."""
 
 import numpy as np
 
-from repro.baselines import bitonic_external_sort
-from repro.core.compaction import loose_compact, tight_compact
-from repro.core.consolidation import consolidate
-from repro.core.external_sort import oblivious_external_sort
-from repro.core.quantiles import quantiles_em
-from repro.core.selection import select_em
-from repro.core.sorting import oblivious_sort
-from repro.oblivious import adversarial_inputs, check_oblivious
+from repro.api import algorithm_names, get_algorithm
+from repro.oblivious import (
+    adversarial_inputs,
+    assert_adversary_view_invariant,
+    workload,
+)
 
 from _workloads import series_table, experiment
 
-N_ITEMS = 256
-M, B = 128, 4
+#: Private-content draws per algorithm.
+DRAWS = 3
+#: Algorithms whose only public input shape is the record count, so the
+#: adversarial family is a valid set of same-shape inputs.
+FAMILY = ("sort", "bitonic_sort", "select", "sort_then_pick", "quantiles")
+OBLIVIOUS = [n for n in algorithm_names() if get_algorithm(n).oblivious]
 
 
-def _runner_consolidate(machine, records, rng):
-    arr = machine.alloc_cells(len(records))
-    arr.load_flat(records)
-    return consolidate(machine, arr)
-
-
-def _runner_external_sort(machine, records, rng):
-    arr = machine.alloc_cells(len(records))
-    arr.load_flat(records)
-    return oblivious_external_sort(machine, arr)
-
-
-def _runner_bitonic(machine, records, rng):
-    arr = machine.alloc_cells(len(records))
-    arr.load_flat(records)
-    return bitonic_external_sort(machine, arr)
-
-
-def _runner_tight_compact(machine, records, rng):
-    arr = machine.alloc_cells(len(records))
-    arr.load_flat(records)
-    return tight_compact(machine, arr)
-
-
-def _runner_loose_compact(machine, records, rng):
-    # Spread the records out so only 1/4 of the blocks are occupied.
-    arr = machine.alloc_cells(4 * len(records))
-    flat = arr.raw.reshape(-1, 2)
-    for t, rec in enumerate(records):
-        flat[4 * t] = rec
-    n_blocks = arr.num_blocks
-    return loose_compact(machine, arr, n_blocks // 4, rng)
-
-
-def _runner_selection(machine, records, rng):
-    arr = machine.alloc_cells(len(records))
-    arr.load_flat(records)
-    return select_em(machine, arr, len(records), len(records) // 2, rng)
-
-
-def _runner_quantiles(machine, records, rng):
-    arr = machine.alloc_cells(len(records))
-    arr.load_flat(records)
-    return quantiles_em(machine, arr, len(records), 2, rng)
-
-
-def _runner_sort(machine, records, rng):
-    arr = machine.alloc_cells(len(records))
-    arr.load_flat(records)
-    return oblivious_sort(machine, arr, len(records), rng)
-
-
-#: (name, runner, input-family restriction, M) — loose compaction needs a
-#: machine satisfying the wide-block assumption for its region step.
-RUNNERS = [
-    ("consolidate (L3)", _runner_consolidate, None, M),
-    ("external sort (L2)", _runner_external_sort, None, M),
-    ("bitonic strawman", _runner_bitonic, None, M),
-    ("tight compact (T6)", _runner_tight_compact, None, M),
-    ("loose compact (T8)", _runner_loose_compact, None, 256),
-    ("selection (T13)", _runner_selection, "distinct", M),
-    ("quantiles (T17)", _runner_quantiles, "distinct", M),
-    ("oblivious sort (T21)", _runner_sort, None, M),
-]
-
-
-def _input_family(distinct):
-    fam = adversarial_inputs(N_ITEMS, rng=np.random.default_rng(0))
-    if distinct == "distinct":
-        # Selection/quantiles assume comparable items; keep keys distinct
-        # so every input is a valid instance of the same problem size.
-        fam = {k: v for k, v in fam.items() if k != "all_equal"}
-    return fam
+def _inputs(name):
+    """``(datasets, params, config_kwargs)`` for one algorithm."""
+    draws = [workload(name, np.random.default_rng(v)) for v in range(DRAWS)]
+    datasets = [data for data, _, _ in draws]
+    _, params, cfg = draws[0]
+    if name in FAMILY:
+        datasets += adversarial_inputs(len(datasets[0])).values()
+    return datasets, params, cfg
 
 
 @experiment
 def bench_e10_all_algorithms(capsys):
     rows = []
-    for name, runner, distinct, M_run in RUNNERS:
-        fam = _input_family(distinct)
-        # Randomized bound failures are public events; find a seed where
-        # every family member succeeds, then demand identical traces.
-        for seed in range(25):
-            try:
-                report = check_oblivious(
-                    runner,
-                    list(fam.values()),
-                    M=M_run,
-                    B=B,
-                    seed=seed,
-                    labels=list(fam.keys()),
-                )
-                break
-            except AssertionError:
-                raise
-            except Exception:
-                continue
-        else:
-            raise AssertionError(f"{name}: no seed succeeded on all inputs")
-        rows.append([
-            name,
-            len(fam),
-            report.views[0].num_events,
-            "yes" if report.oblivious else "NO",
-        ])
-        assert report.oblivious, report.describe()
+    for name in OBLIVIOUS:
+        datasets, params, cfg = _inputs(name)
+        fp = assert_adversary_view_invariant(
+            name, datasets, params, config_kwargs=cfg
+        )
+        rows.append([name, len(datasets), fp[:16]])
     with capsys.disabled():
         print()
         print(series_table(
             "E10 obliviousness verification — identical adversary views "
-            "across the adversarial input family (fixed seed)",
-            ["algorithm", "inputs", "trace_events", "oblivious"],
+            "across same-shape inputs (fixed seed)",
+            ["algorithm", "inputs", "fingerprint"],
             rows,
         ))
 
 
 def bench_e10_wall_time(benchmark):
-    fam = _input_family(None)
-
-    def run():
-        return check_oblivious(
-            _runner_tight_compact, list(fam.values()), M=M, B=B, seed=1
-        )
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    datasets, params, cfg = _inputs("compact")
+    benchmark.pedantic(
+        assert_adversary_view_invariant,
+        args=("compact", datasets, params),
+        kwargs={"config_kwargs": cfg},
+        rounds=1,
+        iterations=1,
+    )

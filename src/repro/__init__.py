@@ -36,7 +36,7 @@ Subpackages
     storage backends, retry policies, unified cost reports.
 ``repro.em``
     The external-memory model substrate: simulated block device, client
-    cache, I/O counters, access traces, adversary view.
+    cache, I/O counters, access traces.
 ``repro.core``
     The paper's algorithms: consolidation (Lemma 3), the four compaction
     algorithms (Theorems 4/6/8/9), selection (Theorems 12/13), quantiles
@@ -48,9 +48,12 @@ Subpackages
 ``repro.iblt``
     Invertible Bloom lookup tables (§2).
 ``repro.oram``
-    Square-root ORAM and the RAM-simulation substrate for Theorem 4.
+    Square-root and hierarchical ORAMs, the RAM-simulation substrate for
+    Theorem 4.
 ``repro.oblivious``
-    Obliviousness verification (trace equality and distribution tests).
+    The obliviousness checker: bit-identical adversary views across
+    same-shape inputs for every registered algorithm, streams, tenants
+    and ORAM access sequences (not imported by ``import repro``).
 ``repro.baselines``
     Non-oblivious external merge sort and oblivious strawmen.
 ``repro.util``
@@ -78,7 +81,6 @@ from repro.core import (
 from repro.em import (
     NULL_KEY,
     AccessTrace,
-    AdversaryView,
     EMArray,
     EMMachine,
     make_block,
@@ -89,7 +91,6 @@ from repro.api import CostReport, EMConfig, ObliviousSession, Result, RetryPolic
 from repro.errors import LasVegasFailure, ReproError, RetryExhausted
 from repro.iblt import IBLT
 from repro.networks import butterfly_compact, butterfly_expand
-from repro.oblivious import adversarial_inputs, check_oblivious
 from repro.oram import LinearScanORAM, SquareRootORAM
 from repro.util.rng import make_rng
 
@@ -111,7 +112,6 @@ __all__ = [
     "EMMachine",
     "EMArray",
     "AccessTrace",
-    "AdversaryView",
     "NULL_KEY",
     "make_block",
     "make_records",
@@ -140,9 +140,6 @@ __all__ = [
     "butterfly_compact",
     "butterfly_expand",
     "fit_complexity",
-    # verification
-    "check_oblivious",
-    "adversarial_inputs",
     # baselines
     "external_merge_sort",
     "bitonic_external_sort",

@@ -40,7 +40,7 @@ justified by a declared algebraic property on the
    substitution off entirely: a padded layout hands its exact geometry
    downstream, which variants do not promise to reproduce.
 4. **Fuse adjacent scans** (``fuse-scans``): a run of
-   ``fusible_scan`` steps, each the sole consumer of its predecessor,
+   ``scan_kernel`` steps, each the sole consumer of its predecessor,
    collapses into one :func:`~repro.api.registry.run_scan_stages` pass
    applying the composed kernels — one read+write sweep instead of one
    per step.
@@ -525,7 +525,7 @@ def _build(
             # Undeclared params must reach the standalone runner's strict
             # validation (kernels .get() with defaults and would silently
             # ignore a typo an unoptimized plan rejects with TypeError).
-            return spec.fusible_scan and set(node.params) <= set(
+            return spec.scan_kernel is not None and set(node.params) <= set(
                 spec.scan_params
             )
 

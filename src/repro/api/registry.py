@@ -148,10 +148,10 @@ class AlgorithmSpec:
         The output records are exactly the input records, reordered
         (nothing dropped, nothing rewritten) — true for shuffles and
         sorts, false for compaction (which repacks layouts) and scans.
-    ``fusible_scan`` / ``scan_kernel`` / ``scan_params``
-        The algorithm is a single full read+write pass whose per-chunk
-        transform is ``scan_kernel`` (see :data:`ScanKernel`).  The
-        optimizer fuses adjacent fusible steps into one
+    ``scan_kernel`` / ``scan_params``
+        When set, the algorithm is a single full read+write pass whose
+        per-chunk transform is ``scan_kernel`` (see :data:`ScanKernel`).
+        The optimizer fuses adjacent such steps into one
         :meth:`~repro.em.machine.EMMachine.io_rounds` pass.
         ``scan_params`` names the parameters the kernel understands; a
         step whose params are not all declared is never fused, so it
@@ -215,7 +215,6 @@ class AlgorithmSpec:
     output_order: str | None = None
     permutation_invariant: bool = False
     permutation_only: bool = False
-    fusible_scan: bool = False
     scan_kernel: ScanKernel | None = None
     scan_params: tuple[str, ...] = ()
     requires_input_order: str | None = None
@@ -259,11 +258,7 @@ class AlgorithmSpec:
                 "requires_input_order must be None or 'sorted', "
                 f"got {self.requires_input_order!r}"
             )
-        if self.fusible_scan and self.scan_kernel is None:
-            raise ValueError(
-                f"fusible_scan spec {self.name!r} must provide a scan_kernel"
-            )
-        if self.fusible_scan and self.output != "records":
+        if self.scan_kernel is not None and self.output != "records":
             raise ValueError("fusible scans must produce records")
 
     def estimate_out_items(self, n_items: int, params: dict) -> int:
@@ -875,7 +870,6 @@ register(AlgorithmSpec(
     _run_mask,
     cost_model="scan",
     output_order="same",
-    fusible_scan=True,
     scan_kernel=_mask_kernel,
     scan_params=("lo", "hi"),
     null_tolerant=True,
@@ -927,7 +921,6 @@ register(AlgorithmSpec(
     _run_scale_values,
     cost_model="scan",
     output_order="same",
-    fusible_scan=True,
     scan_kernel=_scale_values_kernel,
     scan_params=("mul", "add"),
     null_tolerant=True,

@@ -21,7 +21,6 @@ from repro.em.errors import EMError, OutOfBoundsError
 from repro.em.machine import EMMachine, IOMeter
 from repro.em.storage import EMArray, MemmapBackend, MemoryBackend, StorageBackend
 from repro.em.trace import AccessTrace, TraceEvent
-from repro.em.adversary import AdversaryView
 
 __all__ = [
     "NULL_KEY",
@@ -43,5 +42,4 @@ __all__ = [
     "MemmapBackend",
     "AccessTrace",
     "TraceEvent",
-    "AdversaryView",
 ]

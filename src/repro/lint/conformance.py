@@ -14,7 +14,7 @@ using the taint pass's call summaries:
   metadata legitimizes PRF-key setup that is not Las Vegas retry);
 * ``SPEC205`` — ``oblivious=True`` vs. Pass-1 findings anywhere in
   the runner's reachable code;
-* ``SPEC206`` — ``fusible_scan`` kernels must not mutate their
+* ``SPEC206`` — ``scan_kernel`` kernels must not mutate their
   blocks or touch the machine;
 * ``SPEC207`` — a ``null_tolerant=False`` variant of a null-tolerant
   or padded spec that never inspects the NULL sentinel;
@@ -174,9 +174,9 @@ def check_specs(project: Project, specs: dict) -> list[Finding]:
                     )
                 )
 
-        if getattr(spec, "fusible_scan", False):
-            kernel = getattr(spec, "scan_kernel", None)
-            kinfo = runner_info(project, kernel) if kernel is not None else None
+        kernel = getattr(spec, "scan_kernel", None)
+        if kernel is not None:
+            kinfo = runner_info(project, kernel)
             if kinfo is not None and (
                 kinfo.summary.does_io or kinfo.summary.writes_params
             ):
@@ -192,7 +192,7 @@ def check_specs(project: Project, specs: dict) -> list[Finding]:
                         path=kinfo.module.relpath,
                         line=kinfo.line,
                         message=(
-                            f"fusible_scan kernel '{kinfo.name}' of spec "
+                            f"scan_kernel '{kinfo.name}' of spec "
                             f"'{name}' {what}; kernels must be pure"
                         ),
                     )

@@ -35,7 +35,7 @@ RULES: dict[str, str] = {
     "but the runner draws from the per-attempt RNG",
     "SPEC205": "spec declares oblivious=True but the runner's reachable "
     "code has Pass-1 taint findings",
-    "SPEC206": "fusible_scan kernel is impure: it mutates its input blocks "
+    "SPEC206": "scan_kernel is impure: it mutates its input blocks "
     "or performs machine I/O",
     "SPEC207": "spec declares null_tolerant=False, is reachable from padded "
     "layouts via a null-tolerant spec's variants, yet never tests "

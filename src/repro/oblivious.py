@@ -1,10 +1,9 @@
-"""Reusable adversary-view harness: transcript ≡ f(n, params, seed).
+"""The obliviousness checker: transcript ≡ f(n, params, seed).
 
 The paper (§1) calls a computation data-oblivious when the adversary's
 view depends only on the public problem parameters, never on data
 values.  All library randomness flows from an explicit seed, so the
-distributional statement becomes an executable one (the same move as
-:mod:`repro.oblivious.verifier`, lifted to the ``repro.api`` layer):
+distributional statement becomes an executable one:
 
     With ``(n, params, seed)`` held fixed, the complete machine
     transcript must be *bit-identical* for any two inputs — any
@@ -16,10 +15,11 @@ the full machine-trace fingerprint — every allocation, I/O and free the
 adversary observed, all attempts included.  :func:`workload` fabricates
 per-algorithm inputs whose *public shape* is pinned by this module
 (layout length, occupancy, ``k``/``q``/``slack``) while everything
-private varies with the given generator.  The property tests in
-``test_obliviousness.py`` drive both under hypothesis; the harness is
-deliberately import-friendly so future algorithm PRs can reuse it
-(``from obliviousness import assert_adversary_view_invariant``).
+private varies with the given generator; :func:`adversarial_inputs` is
+the §1 family of hostile key patterns.  Every ``assert_*`` check raises
+:class:`ObliviousnessViolation` on a leak — an ``AssertionError``, so
+pytest reports it as a failure, raised explicitly so it also fires
+under ``python -O``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from repro.api import (
 
 __all__ = [
     "SEED",
+    "ObliviousnessViolation",
+    "adversarial_inputs",
     "workload",
     "adversary_fingerprint",
     "assert_adversary_view_invariant",
@@ -50,6 +52,35 @@ __all__ = [
 
 #: The fixed session seed every invariance comparison runs under.
 SEED = 0xD0B1
+
+
+class ObliviousnessViolation(AssertionError):
+    """Raised when same-shape inputs produced distinguishable views."""
+
+
+def adversarial_inputs(
+    n: int,
+    *,
+    rng: np.random.Generator | None = None,
+    key_range: int = 2**40,
+) -> dict[str, np.ndarray]:
+    """The standard family of adversarial inputs of size ``n``.
+
+    The family covers the cases the paper calls out as dangerous for
+    non-oblivious algorithms: all-equal keys (the n-way hash collision
+    example of §1), already-sorted, reverse-sorted, and uniformly random
+    keys.  Values are distinct so outputs remain checkable.
+    """
+    rng = rng or np.random.default_rng(0)
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    random_keys = rng.integers(1, key_range, size=n, dtype=np.int64)
+    return {
+        "all_equal": np.column_stack([np.full(n, 7, dtype=np.int64), idx]),
+        "sorted": np.column_stack([idx, idx]),
+        "reversed": np.column_stack([idx[::-1].copy(), idx]),
+        "random": np.column_stack([random_keys, idx]),
+    }
+
 
 #: Public workload shape per algorithm: chosen so every Las Vegas entry
 #: completes in one attempt at :data:`SEED` for any data (a retry's
@@ -199,8 +230,20 @@ def assert_adversary_view_invariant(
     config_kwargs: dict | None = None,
     seed: int = SEED,
 ) -> str:
-    """Assert all ``datasets`` produce bit-identical adversary views at
-    fixed ``(n, params, seed)``; returns the common fingerprint."""
+    """Check that all ``datasets`` produce bit-identical adversary views
+    at fixed ``(n, params, seed)``; returns the common fingerprint.
+
+    The definition only quantifies over inputs of equal size (per
+    relation, for joins), so mixed sizes are a ``ValueError``."""
+    datasets = list(datasets)
+    sizes = {
+        tuple(map(len, d)) if isinstance(d, tuple) else len(d)
+        for d in datasets
+    }
+    if len(sizes) > 1:
+        raise ValueError(
+            f"obliviousness is defined over equal-size inputs; got sizes {sizes}"
+        )
     views = {}
     for i, data in enumerate(datasets):
         fp, attempts = adversary_fingerprint(
@@ -213,11 +256,12 @@ def assert_adversary_view_invariant(
             seed=seed,
         )
         views.setdefault(fp, []).append((i, attempts))
-    assert len(views) == 1, (
-        f"{name!r} leaked data through its transcript: "
-        f"{len(views)} distinct adversary views over "
-        f"{len(datasets)} same-shape inputs: {views}"
-    )
+    if len(views) != 1:
+        raise ObliviousnessViolation(
+            f"{name!r} leaked data through its transcript: "
+            f"{len(views)} distinct adversary views over "
+            f"{len(datasets)} same-shape inputs: {views}"
+        )
     return next(iter(views))
 
 
@@ -412,7 +456,8 @@ def oram_probe_counts(n: int, accesses: int, **kwargs) -> tuple[int, int]:
     machine, oram, events = oram_transcript(
         n, [("read", t % n) for t in range(accesses)], **kwargs
     )
-    assert oram.rebuilds == 0, "probe-count window must stay inside an epoch"
+    if oram.rebuilds:
+        raise ValueError("probe-count window must stay inside an epoch")
     meta_ids = {st.meta.array_id for st in oram.stores}
     payload_ids = {st.payload.array_id for st in oram.stores}
     reads = events[events[:, 0] == 0]
@@ -428,10 +473,11 @@ def assert_oram_shape_invariant(n: int, schedules, **kwargs) -> None:
     for schedule in schedules:
         _, _, events = oram_transcript(n, schedule, **kwargs)
         shapes.add(events[:, :2].tobytes())
-    assert len(shapes) == 1, (
-        f"ORAM transcript shape leaked the access sequence: {len(shapes)} "
-        f"distinct shapes over {len(schedules)} same-length schedules"
-    )
+    if len(shapes) != 1:
+        raise ObliviousnessViolation(
+            f"ORAM transcript shape leaked the access sequence: {len(shapes)} "
+            f"distinct shapes over {len(schedules)} same-length schedules"
+        )
 
 
 def assert_oram_bitwise_invariant(n: int, schedules, **kwargs) -> None:
@@ -442,7 +488,8 @@ def assert_oram_bitwise_invariant(n: int, schedules, **kwargs) -> None:
     for schedule in schedules:
         machine, _, _ = oram_transcript(n, schedule, **kwargs)
         views.add(machine.trace.fingerprint())
-    assert len(views) == 1, (
-        f"ORAM transcript leaked values or op kinds: {len(views)} distinct "
-        f"views over {len(schedules)} same-index schedules"
-    )
+    if len(views) != 1:
+        raise ObliviousnessViolation(
+            f"ORAM transcript leaked values or op kinds: {len(views)} distinct "
+            f"views over {len(schedules)} same-index schedules"
+        )

@@ -43,7 +43,7 @@ depends on the logical access sequence.  The guarantee is
 path tracks the searched tag's rank, so transcripts are bit-identical
 across data *values* and read/write/update op kinds, while different
 logical index sequences produce different — identically distributed —
-probe positions (``tests/obliviousness.py`` pins both halves).
+probe positions (:mod:`repro.oblivious` pins both halves).
 
 The hot loops — seeding, the buffer scan, merges and extraction — run
 through the machine's batched engine

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.em import (
     AccessTrace,
-    AdversaryView,
     CacheOverflowError,
     CiphertextVersions,
     ClientCache,
@@ -282,9 +281,9 @@ class TestAdversaryView:
                 mach.write(arr, j, make_block([data + j], B=4))
             for j in range(4):
                 mach.read(arr, j)
-            return AdversaryView.observe(mach)
+            return mach.trace.fingerprint(), len(mach.trace)
 
-        assert run(100).indistinguishable_from(run(999))
+        assert run(100) == run(999)
 
     def test_different_patterns_distinguishable(self):
         def run(order):
@@ -292,6 +291,6 @@ class TestAdversaryView:
             arr = mach.alloc(4)
             for j in order:
                 mach.read(arr, j)
-            return AdversaryView.observe(mach)
+            return mach.trace.fingerprint(), len(mach.trace)
 
-        assert not run([0, 1, 2]).indistinguishable_from(run([2, 1, 0]))
+        assert run([0, 1, 2]) != run([2, 1, 0])

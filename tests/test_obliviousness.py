@@ -16,11 +16,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import algorithm_names, get_algorithm
-
-from obliviousness import (
+from repro.oblivious import (
     SEED,
+    ObliviousnessViolation,
+    adversarial_inputs,
     adversary_fingerprint,
     assert_adversary_view_invariant,
+    assert_oram_bitwise_invariant,
+    assert_oram_shape_invariant,
+    interleaved_tenant_fingerprints,
+    oram_probe_counts,
+    oram_transcript,
+    streamed_adversary_fingerprint,
+    streamed_chain_workload,
     workload,
 )
 
@@ -174,8 +182,8 @@ def test_mask_selectivity_stays_hidden_through_relational_steps(terminal):
 @pytest.mark.parametrize("name", LEAKY_ALGOS)
 def test_non_oblivious_baselines_fail_the_invariant(name):
     """Negative control: merge_sort's merge order depends on the data, so
-    the harness must distinguish same-shape inputs — proving the check
-    has teeth (and why the spec declares ``oblivious=False``)."""
+    the checker must distinguish same-shape inputs — proving it has
+    teeth (and why the spec declares ``oblivious=False``)."""
     n = 96
     idx = np.arange(1, n + 1, dtype=np.int64)
     rng = np.random.default_rng(0)
@@ -184,24 +192,38 @@ def test_non_oblivious_baselines_fail_the_invariant(name):
         np.column_stack([idx[::-1].copy(), idx]),
         np.column_stack([rng.permutation(idx), idx]),
     ]
-    views = {
-        adversary_fingerprint(name, data, {})[0] for data in inputs
-    }
-    assert len(views) > 1, (
-        f"{name!r} unexpectedly produced one adversary view — either it "
-        "became oblivious (update its spec) or the harness lost its teeth"
-    )
+    with pytest.raises(ObliviousnessViolation, match="leaked data"):
+        assert_adversary_view_invariant(name, inputs, {})
+
+
+def test_invariant_requires_equal_sizes():
+    """The §1 definition quantifies over equal-size inputs only."""
+    a = adversarial_inputs(8)["sorted"]
+    b = adversarial_inputs(16)["sorted"]
+    with pytest.raises(ValueError, match="equal-size"):
+        assert_adversary_view_invariant("sort", [a, b], {})
+
+
+class TestAdversarialInputs:
+    def test_family_members(self):
+        fam = adversarial_inputs(10)
+        assert set(fam) == {"all_equal", "sorted", "reversed", "random"}
+        for v in fam.values():
+            assert v.shape == (10, 2)
+
+    def test_all_equal_really_equal(self):
+        fam = adversarial_inputs(10)
+        assert len(np.unique(fam["all_equal"][:, 0])) == 1
+
+    def test_values_distinct(self):
+        fam = adversarial_inputs(10)
+        for v in fam.values():
+            assert len(np.unique(v[:, 1])) == 10
 
 
 # ---------------------------------------------------------------------------
 # Streaming + service workloads (satellite of the session-service PR)
 # ---------------------------------------------------------------------------
-
-from obliviousness import (  # noqa: E402 - grouped with their tests
-    interleaved_tenant_fingerprints,
-    streamed_adversary_fingerprint,
-    streamed_chain_workload,
-)
 
 #: Reference adversary view of the streamed 3-step chain per optimize
 #: mode, pinned by the first hypothesis example.
@@ -237,7 +259,6 @@ def test_streamed_transcript_equals_one_shot_transcript():
     import numpy as np
 
     from repro.api import EMConfig, ObliviousSession, RetryPolicy
-    from obliviousness import SEED
 
     rng = np.random.default_rng(5)
     chunks = streamed_chain_workload(rng)
@@ -278,13 +299,6 @@ def test_tenant_trace_is_independent_of_other_tenants_data(variant):
 # ---------------------------------------------------------------------------
 # ORAM layer: raw read/write/dummy sequences (satellite of the batching PR)
 # ---------------------------------------------------------------------------
-
-from obliviousness import (  # noqa: E402 - grouped with their tests
-    assert_oram_bitwise_invariant,
-    assert_oram_shape_invariant,
-    oram_probe_counts,
-    oram_transcript,
-)
 
 
 @pytest.mark.parametrize("backend", ["square_root", "hierarchical"])

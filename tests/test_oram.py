@@ -179,7 +179,7 @@ class TestORAMObliviousness:
     def test_probe_positions_distribution_matches(self):
         """Across seeds, probe-position distributions for two adversarial
         sequences must be statistically indistinguishable."""
-        from scipy import stats
+        stats = pytest.importorskip("scipy.stats")
 
         pos_a, pos_b = [], []
         for seed in range(40):
