@@ -421,40 +421,44 @@ class Executor:
         last: LasVegasFailure | None = None
         for attempt in range(attempts):
             before = set(machine._arrays)
-            mark = machine.trace.mark()
             rng = session._derive_rng(call_index, attempt)
+            # The attempt's trace window is closed on every exit path.
+            mark = machine.trace.mark()
             try:
-                with machine.metered() as meter:
-                    out = spec.runner(machine, A, n_items, rng, dict(params))
-            except LasVegasFailure as exc:
-                exc.attempt = attempt + 1
-                exc.seed = session.seed
-                last = exc
-                for array_id in set(machine._arrays) - before:
-                    machine.free(machine._arrays[array_id])
-                if shadow is None and attempt + 1 < attempts:
-                    shadow = A._data.copy()
-                machine.free(A)
-                if attempt + 1 < attempts:
-                    A = machine.alloc_cells(max(1, A.num_cells), shadow_name)
-                    A._data[...] = shadow
-                    continue
-                break
-            except BaseException:
-                # Non-retryable errors: reclaim this attempt's scratch;
-                # Executor.execute frees the rest of the plan's arrays.
-                for array_id in set(machine._arrays) - before:
-                    machine.free(machine._arrays[array_id])
-                raise
-            if spec.in_place and out.array is not None and out.array is not A:
-                raise RuntimeError(
-                    f"algorithm {spec.name!r} declares in_place but its "
-                    "runner returned a different array than its input"
-                )
-            if machine.trace.enabled:
-                fingerprint, canonical = machine.trace.fingerprint_pair(mark)
-            else:
-                fingerprint = canonical = None
+                try:
+                    with machine.metered() as meter:
+                        out = spec.runner(machine, A, n_items, rng, dict(params))
+                except LasVegasFailure as exc:
+                    exc.attempt = attempt + 1
+                    exc.seed = session.seed
+                    last = exc
+                    for array_id in set(machine._arrays) - before:
+                        machine.free(machine._arrays[array_id])
+                    if shadow is None and attempt + 1 < attempts:
+                        shadow = A._data.copy()
+                    machine.free(A)
+                    if attempt + 1 < attempts:
+                        A = machine.alloc_cells(max(1, A.num_cells), shadow_name)
+                        A._data[...] = shadow
+                        continue
+                    break
+                except BaseException:
+                    # Non-retryable errors: reclaim this attempt's scratch;
+                    # Executor.execute frees the rest of the plan's arrays.
+                    for array_id in set(machine._arrays) - before:
+                        machine.free(machine._arrays[array_id])
+                    raise
+                if spec.in_place and out.array is not None and out.array is not A:
+                    raise RuntimeError(
+                        f"algorithm {spec.name!r} declares in_place but its "
+                        "runner returned a different array than its input"
+                    )
+                if machine.trace.enabled:
+                    fingerprint, canonical = machine.trace.fingerprint_pair(mark)
+                else:
+                    fingerprint = canonical = None
+            finally:
+                machine.trace.release(mark)
             cost = CostReport(
                 reads=meter.reads,
                 writes=meter.writes,

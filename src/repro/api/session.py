@@ -221,9 +221,11 @@ class ObliviousSession:
         ``cost.trace_fingerprint`` is snapshotted over exactly the
         successful attempt's transcript window — the machine's trace is
         *not* cleared, so machine-level work (e.g. :meth:`oram` traffic)
-        interleaved with facade calls keeps its history and can be
-        fingerprinted at any time via
-        ``machine.trace.fingerprint(since=mark)``.
+        interleaved with facade calls stays in the whole-trace digest
+        ``machine.trace.fingerprint()``.  To digest a window of your
+        own, open it with ``mark = machine.trace.mark()`` before the
+        work, read ``machine.trace.fingerprint(since=mark)`` after it,
+        and close it with ``machine.trace.release(mark)``.
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -269,9 +271,11 @@ class ObliviousSession:
 
         Facade calls and pipeline runs no longer clear the machine trace
         (each snapshots its own window), so ORAM traffic interleaved
-        with facade calls keeps its transcript history; fingerprint any
-        window with ``machine.trace.mark()`` /
-        ``machine.trace.fingerprint(since=mark)``."""
+        with facade calls stays in the whole-trace digest.  To
+        fingerprint just the ORAM's traffic, open a window with
+        ``mark = machine.trace.mark()`` before it, digest it with
+        ``machine.trace.fingerprint(since=mark)`` and close it with
+        ``machine.trace.release(mark)``."""
         from repro.oram import SquareRootORAM
 
         call_index = self._calls

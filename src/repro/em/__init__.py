@@ -20,7 +20,7 @@ from repro.em.crypto import CiphertextVersions
 from repro.em.errors import EMError, OutOfBoundsError
 from repro.em.machine import EMMachine, IOMeter
 from repro.em.storage import EMArray, MemmapBackend, MemoryBackend, StorageBackend
-from repro.em.trace import AccessTrace, TraceEvent
+from repro.em.trace import AccessTrace
 
 __all__ = [
     "NULL_KEY",
@@ -41,5 +41,4 @@ __all__ = [
     "MemoryBackend",
     "MemmapBackend",
     "AccessTrace",
-    "TraceEvent",
 ]

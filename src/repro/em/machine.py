@@ -111,6 +111,10 @@ class EMMachine:
     trace:
         Record the adversary-visible access trace (default True).  Large
         benchmark runs may disable it; I/O counters are always maintained.
+    retain_trace:
+        Keep every trace event for :meth:`AccessTrace.as_array` (default
+        False: the trace keeps running digests only, see
+        :mod:`repro.em.trace`).
     backend:
         Storage backend providing the server-side buffers (default:
         :class:`repro.em.storage.MemoryBackend`).  Backends change where
@@ -128,6 +132,7 @@ class EMMachine:
         B: int,
         *,
         trace: bool = True,
+        retain_trace: bool = False,
         backend: StorageBackend | None = None,
         owns_backend: bool = True,
     ) -> None:
@@ -138,7 +143,7 @@ class EMMachine:
         self.M = M
         self.B = B
         self.cache = ClientCache(M // B)
-        self.trace = AccessTrace()
+        self.trace = AccessTrace(retain=retain_trace)
         self.trace.enabled = trace
         self.backend = backend if backend is not None else MemoryBackend()
         self.owns_backend = owns_backend

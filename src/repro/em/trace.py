@@ -1,4 +1,4 @@
-"""Access traces — the adversary's transcript.
+"""Access traces — the adversary's transcript, kept as running digests.
 
 Bob observes, for each of Alice's I/Os, the operation kind (read or write),
 which array it touched, and the block address.  He does *not* observe block
@@ -11,32 +11,56 @@ seed makes the transcript a deterministic function of ``(P, N, M, B)``, so
 the verifier can demand byte-identical transcripts across adversarially
 chosen inputs.
 
-Events are stored columnarly in preallocated int64 chunks so that the
-batched I/O engine (:meth:`repro.em.machine.EMMachine.read_many` and
-friends) can append thousands of events in one ``append_rows`` /
-``record_batch`` / ``record_events`` call; the scalar :meth:`record`
-path writes into the same chunks.  ``fingerprint()`` is byte-identical to the historical
-list-backed layout: the export is the same ``(n, 3)`` C-contiguous int64
-array either way.
+Every reader of the transcript compares SHA-256 digests of *windows* of
+it, so the trace keeps digests, not events.  An event is one ``(op,
+array_id, index)`` int64 row.  Appends (``append_rows``, the engine's bulk
+path, and the ``record`` / ``record_batch`` / ``record_events`` forms)
+copy rows into one reused staging chunk; each full chunk is hashed into
+every open window and the chunk is then overwritten.  Memory stays at one
+chunk however many I/Os the machine performs.
+
+* The whole-trace window is always open: :meth:`AccessTrace.fingerprint`
+  with no argument digests every event recorded so far.
+* :meth:`AccessTrace.mark` opens a window at the current position and
+  returns that position.  :meth:`AccessTrace.fingerprint_pair` digests
+  the window both as recorded and *canonically*, with array ids renamed
+  0, 1, 2, … by first appearance inside the window — the adversary view
+  up to array renaming.  :meth:`AccessTrace.release` closes the window.
+
+Reading a window hashes the staged partial chunk into copies of its
+hashers, so an open window can be read any number of times as it grows.
+Each digest is ``sha256`` of the window's events as one ``(n, 3)``
+C-contiguous int64 array, the bytes every golden fingerprint was pinned
+on.  Raw events are kept only by ``AccessTrace(retain=True)``
+(``EMMachine(retain_trace=True)``), for readers that inspect individual
+events through :meth:`AccessTrace.as_array`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Op", "TraceEvent", "AccessTrace"]
+__all__ = ["Op", "AccessTrace"]
 
-#: Rows per preallocated trace chunk.
+#: Rows per staging chunk.
 _CHUNK_EVENTS = 1 << 16
+
+#: Widest range of array ids :func:`_codes` buckets directly; wider
+#: ranges fall back to sorting.
+_DENSE_SPAN = 1 << 20
+
+_NO_ROWS = np.empty((0, 3), dtype=np.int64)
 
 
 class Op(IntEnum):
-    """Operation kinds visible to the adversary."""
+    """Operation kinds visible to the adversary.
+
+    For ``ALLOC`` events the index column carries the array length in
+    blocks (the adversary can see how much space Alice provisions).
+    """
 
     READ = 0
     WRITE = 1
@@ -44,57 +68,129 @@ class Op(IntEnum):
     FREE = 3
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One adversary-visible event: ``op`` on block ``index`` of ``array_id``.
+def _codes(ids: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The distinct values of ``ids`` in ascending order, and each
+    element's index among them.  Array ids are allocation counters, so
+    a chunk's ids usually span a narrow range that is bucketed in linear
+    time instead of sorted."""
+    lo, hi = int(ids.min()), int(ids.max())
+    if hi - lo >= _DENSE_SPAN:
+        uniq, codes = np.unique(ids, return_inverse=True)
+        return uniq.tolist(), codes
+    offsets = ids - lo
+    seen = np.zeros(hi - lo + 1, dtype=bool)
+    seen[offsets] = True
+    present = np.flatnonzero(seen)
+    index = np.empty(hi - lo + 1, dtype=np.int64)
+    index[present] = np.arange(len(present))
+    return (present + lo).tolist(), index[offsets]
 
-    For ``ALLOC`` events, ``index`` carries the array length in blocks (the
-    adversary can see how much space Alice provisions).
-    """
 
-    op: Op
-    array_id: int
-    index: int
+def _renamed(rows: np.ndarray, ranks: dict[int, int]) -> np.ndarray:
+    """Copy of ``rows`` with each array id replaced by its rank in
+    ``ranks``; ids not yet ranked take the next ranks in order of first
+    appearance and are added to ``ranks``."""
+    out = rows.copy()
+    if len(rows):
+        keys, codes = _codes(rows[:, 1])
+        fresh = [j for j, key in enumerate(keys) if key not in ranks]
+        if len(fresh) > 1:
+            first = np.full(len(keys), len(codes))
+            np.minimum.at(first, codes, np.arange(len(codes)))
+            fresh.sort(key=first.__getitem__)
+        for j in fresh:
+            ranks[keys[j]] = len(ranks)
+        out[:, 1] = np.array([ranks[key] for key in keys])[codes]
+    return out
+
+
+class _Window:
+    """Running digests of the events from position ``start`` on."""
+
+    __slots__ = ("start", "plain", "canonical", "ranks", "refs")
+
+    def __init__(self, start: int, canonical: bool) -> None:
+        self.start = start
+        self.plain = hashlib.sha256()
+        self.canonical = hashlib.sha256() if canonical else None
+        #: Array id -> canonical id, by first appearance in the window.
+        self.ranks: dict[int, int] = {}
+        self.refs = 1
+
+    def fold(self, rows: np.ndarray) -> None:
+        """Hash ``rows``, the window's next events, into its digests."""
+        self.plain.update(rows)
+        if self.canonical is not None:
+            self.canonical.update(_renamed(rows, self.ranks))
+
+    def digests(self, tail: np.ndarray) -> tuple[str, str | None]:
+        """``(plain, canonical)`` hex digests as if ``tail`` were folded
+        in, leaving the window unchanged."""
+        plain = self.plain.copy()
+        plain.update(tail)
+        if self.canonical is None:
+            return plain.hexdigest(), None
+        canonical = self.canonical.copy()
+        canonical.update(_renamed(tail, dict(self.ranks)))
+        return plain.hexdigest(), canonical.hexdigest()
 
 
 class AccessTrace:
-    """Append-only transcript of adversary-visible events.
+    """Append-only transcript of adversary-visible events, kept as
+    running SHA-256 digests of its open windows.
 
-    Events live in a list of full ``(_CHUNK_EVENTS, 3)`` int64 chunks plus
-    one partially-filled current chunk; ``as_array()`` exports the whole
-    transcript as a ``(n, 3)`` int64 array for fingerprinting and analysis.
+    ``retain=True`` also keeps every event for :meth:`as_array`; without
+    it the trace holds one staging chunk (none before the first event).
     """
 
-    __slots__ = ("_full", "_cur", "_pos", "enabled")
+    __slots__ = ("enabled", "_retain", "_chunk", "_pos", "_base", "_kept",
+                 "_whole", "_windows")
 
-    def __init__(self) -> None:
-        self._full: list[np.ndarray] = []
-        self._cur: np.ndarray | None = None
-        self._pos = 0
-        #: When False, ``record`` is a no-op.  Benchmarks that only need
+    def __init__(self, *, retain: bool = False) -> None:
+        #: When False, appends are no-ops.  Benchmarks that only need
         #: I/O counts can disable tracing to cut overhead.
         self.enabled: bool = True
+        self._retain = retain
+        self._chunk: np.ndarray | None = None
+        self._pos = 0  # events staged in _chunk
+        self._base = 0  # events hashed before _chunk[0]
+        self._kept: list[np.ndarray] = []  # full chunks, retain=True only
+        self._whole = _Window(0, canonical=False)
+        self._windows: dict[int, _Window] = {}
 
     # -- appending ---------------------------------------------------------
 
-    def _roll(self) -> np.ndarray:
-        if self._cur is not None:
-            self._full.append(self._cur)
-        self._cur = np.empty((_CHUNK_EVENTS, 3), dtype=np.int64)
+    def _staging(self) -> np.ndarray:
+        if self._chunk is None:
+            self._chunk = np.empty((_CHUNK_EVENTS, 3), dtype=np.int64)
+        return self._chunk
+
+    def _fold_chunk(self) -> None:
+        """Hash the full staging chunk into every open window."""
+        chunk = self._chunk
+        self._whole.fold(chunk)
+        for window in self._windows.values():
+            window.fold(chunk[max(0, window.start - self._base):])
+        self._base += _CHUNK_EVENTS
         self._pos = 0
-        return self._cur
+        if self._retain:
+            self._kept.append(chunk)
+            self._chunk = None
 
     def record(self, op: Op, array_id: int, index: int) -> None:
         """Append one event (no-op when tracing is disabled)."""
         if not self.enabled:
             return
-        cur = self._cur
-        if cur is None or self._pos == _CHUNK_EVENTS:
-            cur = self._roll()
-        cur[self._pos, 0] = op
-        cur[self._pos, 1] = array_id
-        cur[self._pos, 2] = index
-        self._pos += 1
+        chunk = self._chunk
+        if chunk is None:
+            chunk = self._staging()
+        pos = self._pos
+        chunk[pos, 0] = op
+        chunk[pos, 1] = array_id
+        chunk[pos, 2] = index
+        self._pos = pos + 1
+        if self._pos == _CHUNK_EVENTS:
+            self._fold_chunk()
 
     def record_batch(self, op: Op, array_id: int, indices: np.ndarray) -> None:
         """Append one event per index, all with the same ``op``/``array_id``.
@@ -146,136 +242,112 @@ class AccessTrace:
         lowest-overhead path; no-op when tracing is disabled)."""
         if not self.enabled:
             return
-        k = len(rows)
+        chunk, pos, k = self._chunk, self._pos, len(rows)
+        if chunk is not None and pos + k < _CHUNK_EVENTS:
+            chunk[pos : pos + k] = rows
+            self._pos = pos + k
+            return
         done = 0
         while done < k:
-            cur = self._cur
-            if cur is None or self._pos == _CHUNK_EVENTS:
-                cur = self._roll()
+            chunk = self._staging()
             take = min(k - done, _CHUNK_EVENTS - self._pos)
-            cur[self._pos : self._pos + take] = rows[done : done + take]
+            chunk[self._pos : self._pos + take] = rows[done : done + take]
             self._pos += take
             done += take
+            if self._pos == _CHUNK_EVENTS:
+                self._fold_chunk()
 
-    # -- reading -----------------------------------------------------------
+    # -- windows -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._full) * _CHUNK_EVENTS + self._pos
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        for op, arr, idx in self.as_array():
-            yield TraceEvent(Op(op), int(arr), int(idx))
-
-    def __getitem__(self, i: int) -> TraceEvent:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not (0 <= i < n):
-            raise IndexError(f"event {i} out of range for trace of {n}")
-        chunk, off = divmod(i, _CHUNK_EVENTS)
-        row = self._full[chunk][off] if chunk < len(self._full) else self._cur[off]
-        return TraceEvent(Op(int(row[0])), int(row[1]), int(row[2]))
+        return self._base + self._pos
 
     def mark(self) -> int:
-        """Return the current transcript position (event count).
+        """Open a window at the current position and return the position.
 
-        Pass the returned value to :meth:`as_array` / :meth:`fingerprint`
-        as ``since`` to export or digest only the events recorded after
-        the mark.  This is how the session facade and the pipeline
-        executor snapshot *per-call* fingerprints without clearing the
+        Pass the returned value to :meth:`fingerprint` /
+        :meth:`fingerprint_pair` as ``since`` to digest the events
+        recorded after the mark, and to :meth:`release` once the window
+        is no longer needed.  This is how the pipeline executor
+        snapshots *per-attempt* fingerprints without clearing the
         transcript — earlier history (e.g. ORAM traffic on the same
-        machine) is preserved.
+        machine) stays in the whole-trace digest.  Marking a position
+        that already has an open window shares it; each ``mark`` needs
+        its own ``release``.
         """
-        return len(self)
+        pos = len(self)
+        window = self._windows.get(pos)
+        if window is None:
+            self._windows[pos] = _Window(pos, canonical=True)
+        else:
+            window.refs += 1
+        return pos
 
-    def as_array(self, since: int = 0, *, canonical: bool = False) -> np.ndarray:
-        """Export the transcript (from event ``since`` on) as an
-        ``(n, 3)`` int64 array.
+    def release(self, mark: int) -> None:
+        """Close the window :meth:`mark` opened at ``mark``."""
+        window = self._open(mark)
+        window.refs -= 1
+        if not window.refs:
+            del self._windows[mark]
 
-        ``canonical=True`` renumbers the array-id column by first
-        appearance within the exported window (0, 1, 2, …): the
-        adversary view *up to array renaming*.  Two windows with
-        identical operations, sizes and block indices but shifted
-        absolute allocation counters — e.g. the same pipeline step run
-        after a different number of earlier allocations — export
-        identically.
-        """
-        n = len(self)
-        since = max(0, since)
-        if n <= since:
-            return np.empty((0, 3), dtype=np.int64)
-        first, off = divmod(since, _CHUNK_EVENTS)
-        parts = list(self._full[first:])
-        if self._pos:
-            parts.append(self._cur[: self._pos])
-        if off:
-            parts[0] = parts[0][off:]
-        arr = parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
-        return self._canonicalize(arr) if canonical else arr
+    @property
+    def open_windows(self) -> tuple[int, ...]:
+        """Start positions of the open windows: the whole-trace window
+        (``0``) first, then one per position :meth:`mark` holds open."""
+        return (0, *sorted(self._windows))
 
-    @staticmethod
-    def _canonicalize(arr: np.ndarray) -> np.ndarray:
-        """Renumber the array-id column of an exported window in place."""
-        if len(arr):
-            ids = arr[:, 1]
-            uniq, first_pos = np.unique(ids, return_index=True)
-            ranks = np.empty(len(uniq), dtype=np.int64)
-            ranks[np.argsort(first_pos, kind="stable")] = np.arange(len(uniq))
-            arr[:, 1] = ranks[np.searchsorted(uniq, ids)]
-        return arr
+    def _digests(self, window: _Window) -> tuple[str, str | None]:
+        """Digests of ``window`` over the staged partial chunk too."""
+        if self._chunk is None:
+            return window.digests(_NO_ROWS)
+        start = max(0, window.start - self._base)
+        return window.digests(self._chunk[start : self._pos])
 
-    def fingerprint_pair(self, since: int = 0) -> tuple[str, str]:
-        """``(fingerprint, canonical fingerprint)`` of one window, from a
-        single export — the per-step hot path in the pipeline executor
-        computes both, and exporting the window twice would double the
-        trace-copy cost PR 2 worked to keep down."""
-        arr = self.as_array(since)
-        plain = hashlib.sha256(arr.tobytes()).hexdigest()
-        return plain, hashlib.sha256(self._canonicalize(arr).tobytes()).hexdigest()
-
-    def fingerprint(self, since: int = 0, *, canonical: bool = False) -> str:
-        """Return a SHA-256 digest of the transcript.
+    def fingerprint(self, since: int = 0) -> str:
+        """SHA-256 hex digest of the events from ``since`` on.
 
         Two runs are indistinguishable to the adversary iff their
         fingerprints match (up to the negligible collision probability).
-        ``since`` (a :meth:`mark` value) digests only the suffix recorded
-        after the mark — the digest of that suffix equals the digest an
-        empty trace would have produced for the same events.
-        ``canonical=True`` digests the renamed-array view (see
-        :meth:`as_array`) — equal across runs that differ only in how
-        many arrays existed before the window.
+        ``since=0`` is the whole trace; any other ``since`` must be a
+        :meth:`mark` whose window is still open.  A window's digest
+        equals the digest an empty trace would have produced for the
+        same events.
         """
-        return hashlib.sha256(
-            self.as_array(since, canonical=canonical).tobytes()
-        ).hexdigest()
+        window = self._whole if since == 0 else self._open(since)
+        return self._digests(window)[0]
 
-    def shape_fingerprint(self) -> str:
-        """Digest of the transcript's *shape*: ops and array ids, without
-        block indices.
+    def fingerprint_pair(self, since: int) -> tuple[str, str]:
+        """``(fingerprint, canonical fingerprint)`` of the window opened
+        by :meth:`mark` at ``since``.  The canonical digest renames array
+        ids by first appearance within the window, so it is equal across
+        runs that differ only in how many arrays existed before it —
+        e.g. the same pipeline step run after different earlier work."""
+        return self._digests(self._open(since))
 
-        ORAM-based algorithms are oblivious in distribution rather than
-        trace-identical under a fixed seed (their probe positions are
-        fresh randomness), but their shape — which arrays are touched, in
-        what order, by which operation — is a fixed function of the
-        public parameters and must match exactly.
-        """
-        arr = self.as_array()[:, :2]
-        return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    def _open(self, since: int) -> _Window:
+        window = self._windows.get(since)
+        if window is None:
+            raise ValueError(
+                f"no window open at event {since}; open one with mark()"
+            )
+        return window
 
-    def clear(self) -> None:
-        """Forget all recorded events."""
-        self._full.clear()
-        self._cur = None
-        self._pos = 0
+    # -- retained events ---------------------------------------------------
 
-    def address_histogram(self) -> dict[tuple[int, int, int], int]:
-        """Return counts of each distinct event — used by the statistical
-        (cross-seed) obliviousness checks."""
-        arr = self.as_array()
-        if not len(arr):
-            return {}
-        uniq, counts = np.unique(arr, axis=0, return_counts=True)
-        return {
-            (int(op), int(a), int(i)): int(c)
-            for (op, a, i), c in zip(uniq, counts)
-        }
+    def as_array(self, since: int = 0) -> np.ndarray:
+        """Export the events from ``since`` on as an ``(n, 3)`` int64
+        array of ``(op, array_id, index)`` rows (``retain=True`` only)."""
+        if not self._retain:
+            raise ValueError(
+                "this trace keeps digests only; construct it with "
+                "retain=True (EMMachine(retain_trace=True)) to export events"
+            )
+        staged = [] if self._chunk is None else [self._chunk[: self._pos]]
+        return np.concatenate([_NO_ROWS, *self._kept, *staged])[max(0, since):]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of event storage held: the staging chunk, plus every
+        full chunk under ``retain=True``."""
+        staged = [] if self._chunk is None else [self._chunk]
+        return sum(chunk.nbytes for chunk in (*self._kept, *staged))

@@ -419,7 +419,7 @@ def oram_transcript(
     from repro.em.machine import EMMachine
     from repro.oram import make_oram
 
-    machine = EMMachine(M=M, B=B)
+    machine = EMMachine(M=M, B=B, retain_trace=True)
     oram = make_oram(
         backend,
         machine,
@@ -442,7 +442,7 @@ def oram_transcript(
             oram.dummy_op()
         else:  # pragma: no cover - harness misuse
             raise ValueError(f"unknown ORAM op {op[0]!r}")
-    return machine, oram, machine.trace.as_array()[start:]
+    return machine, oram, machine.trace.as_array(start)
 
 
 def oram_probe_counts(n: int, accesses: int, **kwargs) -> tuple[int, int]:

@@ -125,10 +125,10 @@ class TestTightCompactSparse:
         """
 
         def run(positions):
-            mach = EMMachine(M=256, B=4)
+            mach = EMMachine(M=256, B=4, retain_trace=True)
             arr = load_block_array(mach, sparse_layout(12, positions))
             tight_compact_sparse(mach, arr, 4, make_rng(7), oblivious_list=True)
-            return mach.trace.shape_fingerprint(), len(mach.trace)
+            return mach.trace.as_array()[:, :2].tobytes(), len(mach.trace)
 
         assert run([0, 1, 2]) == run([9, 10, 11])
 

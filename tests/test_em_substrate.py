@@ -1,9 +1,11 @@
 """Tests for the external-memory substrate: blocks, trace, crypto, cache,
 machine, adversary view."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.em import (
@@ -19,7 +21,7 @@ from repro.em import (
     make_records,
     occupancy,
 )
-from repro.em.trace import Op
+from repro.em.trace import _CHUNK_EVENTS as _CHUNK, Op
 
 
 class TestBlocks:
@@ -83,30 +85,121 @@ class TestAccessTrace:
         t = AccessTrace()
         t.enabled = False
         t.record(Op.READ, 0, 0)
+        t.append_rows(np.zeros((10, 3), dtype=np.int64))
         assert len(t) == 0
+        assert t.nbytes == 0  # not even a staging chunk
 
-    def test_iteration_and_indexing(self):
-        t = AccessTrace()
-        t.record(Op.ALLOC, 2, 10)
-        events = list(t)
-        assert len(events) == 1
-        assert t[0].op == Op.ALLOC
-        assert t[0].index == 10
-
-    def test_histogram(self):
-        t = AccessTrace()
-        t.record(Op.READ, 0, 1)
-        t.record(Op.READ, 0, 1)
-        t.record(Op.WRITE, 0, 1)
-        hist = t.address_histogram()
-        assert hist[(int(Op.READ), 0, 1)] == 2
-        assert hist[(int(Op.WRITE), 0, 1)] == 1
-
-    def test_clear(self):
+    def test_windows_must_be_open(self):
         t = AccessTrace()
         t.record(Op.READ, 0, 0)
-        t.clear()
-        assert len(t) == 0
+        with pytest.raises(ValueError, match="no window open"):
+            t.fingerprint(1)
+        with pytest.raises(ValueError, match="no window open"):
+            t.fingerprint_pair(0)  # the whole-trace window has no canonical digest
+        with pytest.raises(ValueError, match="no window open"):
+            t.release(1)
+        with pytest.raises(ValueError, match="retain=True"):
+            t.as_array()
+
+    def test_marks_at_one_position_share_a_counted_window(self):
+        t = AccessTrace()
+        t.record(Op.READ, 0, 0)
+        a, b = t.mark(), t.mark()
+        assert a == b == 1 and t.open_windows == (0, 1)
+        t.release(a)
+        assert t.open_windows == (0, 1)  # b still holds it
+        t.record(Op.WRITE, 3, 1)
+        assert t.fingerprint(b) == _sha(np.array([[1, 3, 1]]))
+        t.release(b)
+        assert t.open_windows == (0,)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_streamed_digests_match_exported_rows(self, data):
+        """Every open window's running digests equal sha256 of its
+        exported rows, and of their reference canonical renaming, across
+        chunk boundaries, nested and overlapping windows and re-marks."""
+        t = AccessTrace(retain=True)
+        t.enabled = data.draw(st.sampled_from([True, True, True, False]), label="enabled")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        marks = [t.mark()] if data.draw(st.booleans(), label="mark at 0") else []
+        sizes = st.one_of(st.integers(0, 9), st.integers(_CHUNK // 3, _CHUNK))
+        actions = st.sampled_from(["none", "edge", "mark", "release", "remark"])
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            rows = _rows(rng, data.draw(sizes, label="append"))
+            if len(rows) < 10:  # the scalar path
+                for op, array_id, index in rows.tolist():
+                    t.record(op, array_id, index)
+            else:
+                t.append_rows(rows)
+            action = data.draw(actions)
+            if action == "edge":  # fill the staging chunk exactly, then mark
+                t.append_rows(_rows(rng, -len(t) % _CHUNK))
+                marks.append(t.mark())
+            elif action == "mark":
+                marks.append(t.mark())
+            elif action == "remark":  # release, then a new window at that position
+                pos = t.mark()
+                t.release(pos)
+                marks.append(t.mark())
+                assert marks[-1] == pos
+            elif action == "release" and marks:
+                t.release(marks.pop(data.draw(st.integers(0, len(marks) - 1))))
+            for pos in marks:
+                rows = t.as_array(pos)
+                expected = (_sha(rows), _sha(_first_appearance(rows)))
+                assert t.fingerprint_pair(pos) == expected
+                assert t.fingerprint(pos) == expected[0]
+            assert t.fingerprint() == _sha(t.as_array())
+        assert t.open_windows == (0, *sorted(set(marks)))
+        event(f"full chunks: {min(len(t) // _CHUNK, 2)}+")
+
+    def test_memory_stays_at_one_chunk(self):
+        t = AccessTrace()
+        assert t.nbytes == 0
+        rng = np.random.default_rng(4)
+        whole = hashlib.sha256()
+        mark = t.mark()
+        for _ in range(10):
+            rows = _rows(rng, _CHUNK)
+            t.append_rows(rows)
+            whole.update(rows.tobytes())
+            assert t.nbytes == _CHUNK * 3 * 8
+        assert len(t) == 10 * _CHUNK
+        assert t.fingerprint() == t.fingerprint_pair(mark)[0] == whole.hexdigest()
+
+
+def _sha(rows):
+    return hashlib.sha256(np.ascontiguousarray(rows, dtype=np.int64).tobytes()).hexdigest()
+
+
+def _first_appearance(rows):
+    """Reference canonical view: array ids renamed 0, 1, 2, ... by first
+    appearance, computed over the whole exported window at once."""
+    out = rows.copy()
+    if len(out):
+        uniq, first = np.unique(out[:, 1], return_index=True)
+        rank = np.empty(len(uniq), dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+        out[:, 1] = rank[np.searchsorted(uniq, out[:, 1])]
+    return out
+
+
+#: Array ids the random rows draw from: allocation-counter-like ids,
+#: and the same with negative and int64-extreme ids mixed in.
+_IDS = np.arange(300, dtype=np.int64)
+_WIDE_IDS = np.concatenate([
+    _IDS, np.array([-(2**63), -(2**40), -1, 2**40, 2**63 - 1], dtype=np.int64)
+])
+
+
+def _rows(rng, k):
+    """``k`` random event rows whose array ids come in runs, as the
+    engine emits them."""
+    rows = rng.integers(0, 2**20, size=(k, 3), dtype=np.int64)
+    runs = rng.choice(_IDS if rng.random() < 0.5 else _WIDE_IDS, size=k)
+    rows[:, 1] = runs[np.arange(k) // int(rng.integers(1, 16))]
+    return rows
 
 
 class TestCiphertextVersions:
@@ -248,11 +341,11 @@ class TestEMMachine:
         assert arr.num_blocks == 3
 
     def test_trace_records_all_ops(self):
-        mach = EMMachine(M=64, B=4)
+        mach = EMMachine(M=64, B=4, retain_trace=True)
         arr = mach.alloc(2)
         mach.write(arr, 0, empty_block(4))
         mach.read(arr, 0)
-        ops = [e.op for e in mach.trace]
+        ops = mach.trace.as_array()[:, 0].tolist()
         assert ops == [Op.ALLOC, Op.WRITE, Op.READ]
 
     def test_load_flat_and_nonempty(self):

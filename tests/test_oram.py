@@ -148,13 +148,14 @@ class TestSquareRootORAMBasics:
 
 def _trace_shape(machine):
     """The data-independent skeleton of a trace: ops and arrays, no indices."""
-    return [(int(e.op), e.array_id) for e in machine.trace]
+    return machine.trace.as_array()[:, :2].tolist()
 
 
 def _store_probe_positions(machine, oram):
     """Indices of reads into the store payload array (the random probes)."""
+    events = machine.trace.as_array()
     aid = oram.stores[0].payload.array_id
-    return [e.index for e in machine.trace if e.array_id == aid and int(e.op) == 0]
+    return events[(events[:, 1] == aid) & (events[:, 0] == 0), 2].tolist()
 
 
 class TestORAMObliviousness:
@@ -164,7 +165,7 @@ class TestORAMObliviousness:
     the logical access sequence."""
 
     def _run(self, sequence, seed):
-        mach = EMMachine(M=2048, B=4)
+        mach = EMMachine(M=2048, B=4, retain_trace=True)
         oram = SquareRootORAM(mach, 8, make_rng(seed))
         for i in sequence:
             oram.read(i)
@@ -208,7 +209,7 @@ class TestORAMObliviousness:
 
     def test_dummy_shape_matches_real(self):
         def run(use_dummy):
-            mach = EMMachine(M=2048, B=4)
+            mach = EMMachine(M=2048, B=4, retain_trace=True)
             oram = SquareRootORAM(mach, 8, make_rng(13))
             for _ in range(6):
                 if use_dummy:
