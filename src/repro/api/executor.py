@@ -422,9 +422,7 @@ class Executor:
         for attempt in range(attempts):
             before = set(machine._arrays)
             rng = session._derive_rng(call_index, attempt)
-            # The attempt's trace window is closed on every exit path.
-            mark = machine.trace.mark()
-            try:
+            with machine.trace.window() as mark:
                 try:
                     with machine.metered() as meter:
                         out = spec.runner(machine, A, n_items, rng, dict(params))
@@ -457,8 +455,6 @@ class Executor:
                     fingerprint, canonical = machine.trace.fingerprint_pair(mark)
                 else:
                     fingerprint = canonical = None
-            finally:
-                machine.trace.release(mark)
             cost = CostReport(
                 reads=meter.reads,
                 writes=meter.writes,

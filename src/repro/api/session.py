@@ -223,9 +223,11 @@ class ObliviousSession:
         *not* cleared, so machine-level work (e.g. :meth:`oram` traffic)
         interleaved with facade calls stays in the whole-trace digest
         ``machine.trace.fingerprint()``.  To digest a window of your
-        own, open it with ``mark = machine.trace.mark()`` before the
-        work, read ``machine.trace.fingerprint(since=mark)`` after it,
-        and close it with ``machine.trace.release(mark)``.
+        own, run the work inside ``with machine.trace.window() as
+        mark:`` and read ``machine.trace.fingerprint(since=mark)`` before
+        the block ends; the block closes the window (an open window adds
+        work to every later append).  ``mark = machine.trace.mark()``
+        with a matching ``machine.trace.release(mark)`` does the same.
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -272,9 +274,10 @@ class ObliviousSession:
         Facade calls and pipeline runs no longer clear the machine trace
         (each snapshots its own window), so ORAM traffic interleaved
         with facade calls stays in the whole-trace digest.  To
-        fingerprint just the ORAM's traffic, open a window with
-        ``mark = machine.trace.mark()`` before it, digest it with
-        ``machine.trace.fingerprint(since=mark)`` and close it with
+        fingerprint just the ORAM's traffic, run it inside ``with
+        machine.trace.window() as mark:`` and digest it with
+        ``machine.trace.fingerprint(since=mark)`` inside the block, or
+        pair ``mark = machine.trace.mark()`` with
         ``machine.trace.release(mark)``."""
         from repro.oram import SquareRootORAM
 

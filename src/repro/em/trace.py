@@ -25,7 +25,10 @@ chunk however many I/Os the machine performs.
   returns that position.  :meth:`AccessTrace.fingerprint_pair` digests
   the window both as recorded and *canonically*, with array ids renamed
   0, 1, 2, … by first appearance inside the window — the adversary view
-  up to array renaming.  :meth:`AccessTrace.release` closes the window.
+  up to array renaming.  :meth:`AccessTrace.release` closes the window;
+  ``with trace.window() as mark:`` opens one for a block and closes it
+  on every exit.  An open window costs a hash and a renaming of each
+  full chunk, so windows are closed as soon as they have been read.
 
 Reading a window hashes the staged partial chunk into copies of its
 hashers, so an open window can be read any number of times as it grows.
@@ -39,6 +42,8 @@ events through :meth:`AccessTrace.as_array`.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from enum import IntEnum
 
 import numpy as np
@@ -47,10 +52,6 @@ __all__ = ["Op", "AccessTrace"]
 
 #: Rows per staging chunk.
 _CHUNK_EVENTS = 1 << 16
-
-#: Widest range of array ids :func:`_codes` buckets directly; wider
-#: ranges fall back to sorting.
-_DENSE_SPAN = 1 << 20
 
 _NO_ROWS = np.empty((0, 3), dtype=np.int64)
 
@@ -68,22 +69,23 @@ class Op(IntEnum):
     FREE = 3
 
 
-def _codes(ids: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The distinct values of ``ids`` in ascending order, and each
-    element's index among them.  Array ids are allocation counters, so
-    a chunk's ids usually span a narrow range that is bucketed in linear
-    time instead of sorted."""
-    lo, hi = int(ids.min()), int(ids.max())
-    if hi - lo >= _DENSE_SPAN:
-        uniq, codes = np.unique(ids, return_inverse=True)
-        return uniq.tolist(), codes
+def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``np.unique(ids, return_index=True, return_inverse=True)``.
+
+    Array ids are allocation counters, so a chunk's ids usually span
+    fewer values than there are ids; those are bucketed in linear time
+    and memory instead of sorted."""
+    lo = int(ids.min())
+    span = int(ids.max()) - lo + 1
+    if span > len(ids):
+        return np.unique(ids, return_index=True, return_inverse=True)
     offsets = ids - lo
-    seen = np.zeros(hi - lo + 1, dtype=bool)
-    seen[offsets] = True
-    present = np.flatnonzero(seen)
-    index = np.empty(hi - lo + 1, dtype=np.int64)
-    index[present] = np.arange(len(present))
-    return (present + lo).tolist(), index[offsets]
+    first = np.full(span, len(ids))
+    np.minimum.at(first, offsets, np.arange(len(ids)))
+    keys = np.flatnonzero(first < len(ids))
+    index = np.empty(span, dtype=np.int64)
+    index[keys] = np.arange(len(keys))
+    return keys + lo, first[keys], index[offsets]
 
 
 def _renamed(rows: np.ndarray, ranks: dict[int, int]) -> np.ndarray:
@@ -92,15 +94,10 @@ def _renamed(rows: np.ndarray, ranks: dict[int, int]) -> np.ndarray:
     appearance and are added to ``ranks``."""
     out = rows.copy()
     if len(rows):
-        keys, codes = _codes(rows[:, 1])
-        fresh = [j for j, key in enumerate(keys) if key not in ranks]
-        if len(fresh) > 1:
-            first = np.full(len(keys), len(codes))
-            np.minimum.at(first, codes, np.arange(len(codes)))
-            fresh.sort(key=first.__getitem__)
-        for j in fresh:
-            ranks[keys[j]] = len(ranks)
-        out[:, 1] = np.array([ranks[key] for key in keys])[codes]
+        keys, first, codes = _first_seen(rows[:, 1])
+        for key in keys[np.argsort(first)].tolist():
+            ranks.setdefault(key, len(ranks))
+        out[:, 1] = np.array([ranks[key] for key in keys.tolist()])[codes]
     return out
 
 
@@ -240,22 +237,16 @@ class AccessTrace:
     def append_rows(self, rows: np.ndarray) -> None:
         """Append pre-built ``(k, 3)`` int64 event rows (the engine's
         lowest-overhead path; no-op when tracing is disabled)."""
-        if not self.enabled:
+        if not self.enabled or not len(rows):
             return
-        chunk, pos, k = self._chunk, self._pos, len(rows)
-        if chunk is not None and pos + k < _CHUNK_EVENTS:
-            chunk[pos : pos + k] = rows
-            self._pos = pos + k
-            return
-        done = 0
-        while done < k:
-            chunk = self._staging()
-            take = min(k - done, _CHUNK_EVENTS - self._pos)
-            chunk[self._pos : self._pos + take] = rows[done : done + take]
-            self._pos += take
-            done += take
-            if self._pos == _CHUNK_EVENTS:
-                self._fold_chunk()
+        chunk, room = self._staging(), _CHUNK_EVENTS - self._pos
+        while len(rows) >= room:
+            chunk[self._pos :] = rows[:room]
+            rows = rows[room:]
+            self._fold_chunk()
+            chunk, room = self._staging(), _CHUNK_EVENTS
+        chunk[self._pos : self._pos + len(rows)] = rows
+        self._pos += len(rows)
 
     # -- windows -----------------------------------------------------------
 
@@ -273,7 +264,9 @@ class AccessTrace:
         transcript — earlier history (e.g. ORAM traffic on the same
         machine) stays in the whole-trace digest.  Marking a position
         that already has an open window shares it; each ``mark`` needs
-        its own ``release``.
+        its own ``release``.  Until then every full chunk is also hashed,
+        and renamed, into the window, so a window left open slows every
+        later append; :meth:`window` releases it automatically.
         """
         pos = len(self)
         window = self._windows.get(pos)
@@ -289,6 +282,21 @@ class AccessTrace:
         window.refs -= 1
         if not window.refs:
             del self._windows[mark]
+
+    @contextmanager
+    def window(self) -> Iterator[int]:
+        """:meth:`mark` a window for the ``with`` block and
+        :meth:`release` it when the block exits, however it exits::
+
+            with trace.window() as mark:
+                ...
+                digest, canonical = trace.fingerprint_pair(mark)
+        """
+        mark = self.mark()
+        try:
+            yield mark
+        finally:
+            self.release(mark)
 
     @property
     def open_windows(self) -> tuple[int, ...]:

@@ -113,6 +113,20 @@ class TestAccessTrace:
         t.release(b)
         assert t.open_windows == (0,)
 
+    def test_window_block_releases_on_every_exit(self):
+        t = AccessTrace()
+        t.record(Op.READ, 0, 0)
+        with t.window() as mark:
+            assert mark == 1 and t.open_windows == (0, 1)
+            t.record(Op.WRITE, 3, 1)
+            assert t.fingerprint_pair(mark) == (
+                _sha(np.array([[1, 3, 1]])), _sha(np.array([[1, 0, 1]]))
+            )
+        assert t.open_windows == (0,)
+        with pytest.raises(KeyError), t.window():
+            raise KeyError("abandoned")
+        assert t.open_windows == (0,)
+
     @settings(deadline=None, max_examples=30)
     @given(st.data())
     def test_streamed_digests_match_exported_rows(self, data):
@@ -167,6 +181,18 @@ class TestAccessTrace:
             assert t.nbytes == _CHUNK * 3 * 8
         assert len(t) == 10 * _CHUNK
         assert t.fingerprint() == t.fingerprint_pair(mark)[0] == whole.hexdigest()
+
+    def test_one_append_can_fill_several_chunks(self):
+        t = AccessTrace(retain=True)
+        rng = np.random.default_rng(5)
+        t.append_rows(_rows(rng, 7))
+        mark = t.mark()
+        rows = _rows(rng, 2 * _CHUNK + 3)
+        t.append_rows(rows)
+        assert len(t) == 2 * _CHUNK + 10
+        assert np.array_equal(t.as_array(mark), rows)
+        assert t.fingerprint_pair(mark) == (_sha(rows), _sha(_first_appearance(rows)))
+        assert t.fingerprint() == _sha(t.as_array())
 
 
 def _sha(rows):
