@@ -557,6 +557,17 @@ class EMMachine:
         compensate in the payload callable (see ``thinning_pass``) or
         split the batch.
 
+        Writes land in the scalar loop's order.  When several streams
+        write one array, the engine builds every payload first and then
+        applies each array's streams together, round by round and stream
+        by stream within a round, so contents (last write wins) and
+        ciphertext versions match the loop even when the streams
+        interleave or overlap: one index matrix, one scatter and one
+        re-encryption per array, or one slice write when that order is a
+        contiguous range (``S`` range streams of stride ``S`` starting at
+        ``lo, lo + 1, ..., lo + S - 1``).  Streams that each write their
+        own array are written one after another.
+
         If a payload callable raises, the whole batch is abandoned —
         nothing is counted or traced.  Error transcripts therefore are
         not byte-stable against the scalar engine (which recorded events
@@ -570,6 +581,7 @@ class EMMachine:
         k = -1
         all_ranges = True
         parsed: list[list] = []
+        writers: list[int] = []
         for step in steps:
             kind = step[0]
             if kind not in ("r", "w"):
@@ -596,7 +608,11 @@ class EMMachine:
                 raise ValueError(
                     f"io_rounds streams disagree on length ({kk} != {k})"
                 )
-            payload = step[3] if kind == "w" else None
+            if kind == "w":
+                payload = step[3]
+                writers.append(arr.array_id)
+            else:
+                payload = None
             parsed.append([kind, arr, lo, hi, st, idx, payload])
         if k == 0:
             return [None for _ in parsed]
@@ -612,15 +628,18 @@ class EMMachine:
             else:
                 results.append(None)
                 n_writes += k
-        for kind, arr, lo, hi, st, idx, payload in parsed:
-            if kind != "w":
-                continue
-            blocks = payload(results) if callable(payload) else payload
-            blocks = np.asarray(blocks, dtype=np.int64)
-            if idx is None:
-                arr._scatter_range(lo, hi, blocks, st)
-            else:
-                arr._scatter(idx, blocks)
+        if len(set(writers)) == len(writers):
+            for kind, arr, lo, hi, st, idx, payload in parsed:
+                if kind != "w":
+                    continue
+                blocks = payload(results) if callable(payload) else payload
+                blocks = np.asarray(blocks, dtype=np.int64)
+                if idx is None:
+                    arr._scatter_range(lo, hi, blocks, st)
+                else:
+                    arr._scatter(idx, blocks)
+        else:
+            self._write_rounds(parsed, results, k)
         self.reads += n_reads
         self.writes += n_writes
         self._count_batch(k * len(parsed))
@@ -721,6 +740,42 @@ class EMMachine:
         if idx.ndim != 1:
             raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
         return idx
+
+    @staticmethod
+    def _write_rounds(parsed: list, results: list, k: int) -> None:
+        """Apply write streams as the scalar loop would when several
+        write one array: per array, round by round and stream by stream
+        within a round, after every payload is built."""
+        by_array: dict[int, list] = {}
+        for p in parsed:
+            if p[0] == "w":
+                blocks = p[6](results) if callable(p[6]) else p[6]
+                by_array.setdefault(p[1].array_id, []).append(
+                    (p, np.asarray(blocks, dtype=np.int64))
+                )
+        for group in by_array.values():
+            arr = group[0][0][1]
+            S = len(group)
+            shape = (k, arr.B, RECORD_WIDTH)
+            bad = [b.shape for _, b in group if b.shape != shape]
+            if bad:
+                raise ValueError(f"blocks shape {bad[0]} does not match {shape}")
+            blocks = np.stack([b for _, b in group], axis=1).reshape(
+                k * S, arr.B, RECORD_WIDTH
+            )
+            lo0 = group[0][0][2]
+            if all(
+                p[5] is None and p[4] == S and p[2] == lo0 + s
+                for s, (p, _) in enumerate(group)
+            ):
+                # Stream s writes lo0 + s, lo0 + s + S, ...: round-major
+                # order is the contiguous range [lo0, lo0 + k * S).
+                arr._scatter_range(lo0, lo0 + k * S, blocks)
+                continue
+            idx = np.empty((k, S), dtype=np.int64)
+            for s, ((_, _, lo, hi, st, sidx, _), _) in enumerate(group):
+                idx[:, s] = sidx if sidx is not None else np.arange(lo, hi, st)
+            arr._scatter(idx.reshape(-1), blocks)
 
     def _count_batch(self, ios: int) -> None:
         if ios > 0:

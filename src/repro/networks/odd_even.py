@@ -11,6 +11,7 @@ items into an algorithm sorting ``n`` runs (Knuth, §5.3.4).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -26,10 +27,17 @@ def batcher_pairs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield rounds of Batcher's odd-even mergesort for ``n`` (power of 2).
 
     Uses the classic iterative formulation; each round's comparators are
-    disjoint and all point min-to-``lo``.
+    disjoint and all point min-to-``lo``.  The rounds are built once per
+    size and shared, so the yielded arrays are read-only.
     """
     if not is_pow2(n):
         raise ValueError(f"odd-even mergesort requires a power-of-two size, got {n}")
+    yield from _batcher_rounds(n)
+
+
+@lru_cache(maxsize=16)
+def _batcher_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    rounds = []
     p = 1
     while p < n:
         k = p
@@ -42,9 +50,13 @@ def batcher_pairs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                         los.append(i + j)
                         his.append(i + j + k)
             if los:
-                yield np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
+                lo = np.asarray(los, dtype=np.int64)
+                hi = np.asarray(his, dtype=np.int64)
+                lo.flags.writeable = hi.flags.writeable = False
+                rounds.append((lo, hi))
             k //= 2
         p *= 2
+    return tuple(rounds)
 
 
 def batcher_sort(records: np.ndarray) -> np.ndarray:

@@ -158,6 +158,53 @@ class TestBatchedScalarEquivalence:
         if k and not fancy:
             assert np.array_equal(got[0] + 1, b1.raw[start : start + k])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        S=st.integers(min_value=2, max_value=3),
+        k=st.integers(min_value=0, max_value=4),
+        contiguous=st.booleans(),
+        solo=st.booleans(),
+        data=st.data(),
+    )
+    def test_io_rounds_shared_array_writes_match_scalar_loop(
+        self, S, k, contiguous, solo, data
+    ):
+        """Write streams sharing one array land in the scalar loop's
+        round-major order, for contents (last write wins) and versions.
+        ``contiguous`` draws ``S`` stride-``S`` ranges that tile one
+        range; otherwise each stream is a range or an index array, with
+        overlapping targets.  ``solo`` adds a write stream of its own
+        array to the call."""
+        (m1, m2), ((a1, b1), (a2, b2)) = _machines()
+        streams: list = []
+        for s in range(S):
+            if contiguous:
+                lo = data.draw(st.integers(0, 12 - k * S)) if s == 0 else lo
+                streams.append((lo + s, lo + s + k * S, S))
+            elif data.draw(st.booleans()):
+                step = data.draw(st.integers(1, 3))
+                lo = data.draw(st.integers(0, max(0, 11 - (k - 1) * step)))
+                streams.append((lo, lo + k * step, step))
+            else:
+                idx = data.draw(st.lists(st.integers(0, 11), min_size=k, max_size=k))
+                streams.append(np.asarray(idx, dtype=np.int64))
+        m1.io_rounds(
+            [("r", a1, (0, k))]
+            + [
+                ("w", b1, idx, lambda reads, s=s: reads[0] + s)
+                for s, idx in enumerate(streams)
+            ]
+            + ([("w", a1, (8, 8 + k), lambda reads: reads[0] - 1)] if solo else [])
+        )
+        targets = [np.arange(*i) if type(i) is tuple else i for i in streams]
+        for j in range(k):
+            blk = m2.read(a2, j)
+            for s, pos in enumerate(targets):
+                m2.write(b2, int(pos[j]), blk + s)
+            if solo:
+                m2.write(a2, 8 + j, blk - 1)
+        _assert_twins(m1, m2, (a1, b1), (a2, b2))
+
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(min_value=1, max_value=4), step=st.integers(min_value=1, max_value=3))
     def test_strided_ranges_match_explicit_indices(self, k, step):

@@ -107,6 +107,12 @@ class TestNetworkRounds:
         for lo, hi in gen(64):
             assert (lo < hi).all()
 
+    def test_batcher_rounds_are_shared_read_only(self):
+        first, again = list(batcher_pairs(16)), list(batcher_pairs(16))
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(first, again))
+        with pytest.raises(ValueError):
+            first[0][0][0] = 1
+
     @pytest.mark.parametrize("gen", [bitonic_pairs, batcher_pairs])
     def test_rejects_non_pow2(self, gen):
         with pytest.raises(ValueError):

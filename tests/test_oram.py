@@ -1,16 +1,24 @@
 """Tests for the square-root ORAM and the oblivious block sort."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import EMConfig, ObliviousSession
+from repro.core import block_sort
 from repro.core.block_sort import oblivious_block_sort
 from repro.em import EMMachine, make_block
+from repro.em.batch import empty_blocks, scan_chunks
 from repro.em.block import NULL_KEY, is_empty
 from repro.em.errors import EMError
 from repro.oram import ORAM_BACKENDS, SquareRootORAM, make_oram
 from repro.oram.simulation import measure_oram_overhead
+from repro.networks.odd_even import batcher_pairs
 from repro.oram.tagged_store import _prf
+from repro.util.mathx import ceil_div, next_pow2
 from repro.util.rng import make_rng
 
 
@@ -70,6 +78,143 @@ class TestObliviousBlockSort:
         a, b = mach.alloc(4), mach.alloc(2)
         with pytest.raises(ValueError):
             oblivious_block_sort(mach, [a, b])
+
+
+def _reference_block_sort(machine, arrays, key_fn, run_blocks):
+    """The per-comparator loop the batched block sort replaced: one
+    ``io_rounds`` call to load each run and one to store each run."""
+    n = arrays[0].num_blocks
+    if n <= 1:
+        return
+    T, width, B = len(arrays), len(arrays) + 1, machine.B
+    R = run_blocks or max(1, min(n, (machine.m - 2) // (2 * width)))
+    num_runs = ceil_div(n, R)
+    size = num_runs * R
+    work = [machine.alloc(size, f"{arr.name}.bsort") for arr in arrays]
+    keys = machine.alloc(size, f"{arrays[0].name}.bsort.key")
+    for lo, hi in scan_chunks(machine, n, streams=2 * T + 1):
+        def key_blocks(reads, k=hi - lo):
+            kb = empty_blocks(k, B)
+            kb[:, 0, 0] = [int(key_fn(b)) for b in reads[0]]
+            kb[:, 0, 1] = 0
+            return kb
+
+        steps = []
+        for t in range(T):
+            steps.append(("r", arrays[t], (lo, hi)))
+            steps.append(("w", work[t], (lo, hi), lambda r, s=2 * t: r[s]))
+        machine.io_rounds(steps + [("w", keys, (lo, hi), key_blocks)])
+    for lo, hi in scan_chunks(machine, size - n, streams=T + 1):
+        k = hi - lo
+        pad_kb = empty_blocks(k, B)
+        pad_kb[:, 0, 0], pad_kb[:, 0, 1] = 0, 1
+        steps = [("w", w, (n + lo, n + hi), empty_blocks(k, B)) for w in work]
+        machine.io_rounds(steps + [("w", keys, (n + lo, n + hi), pad_kb)])
+
+    def load_run(lo):
+        reads = machine.io_rounds(
+            [("r", keys, (lo, lo + R))] + [("r", w, (lo, lo + R)) for w in work]
+        )
+        return reads[0][:, 0, 1], reads[0][:, 0, 0], reads
+
+    def store_atoms(lo, order, reads):
+        idx = (lo, lo + len(order))
+        machine.io_rounds([("w", keys, idx, reads[0][order])] + [
+            ("w", w, idx, reads[t + 1][order]) for t, w in enumerate(work)
+        ])
+
+    for run in range(num_runs):
+        pads, kvals, reads = load_run(run * R)
+        store_atoms(run * R, np.lexsort((kvals, pads)), reads)
+    if num_runs > 1:
+        for los, his in batcher_pairs(next_pow2(num_runs)):
+            for a, b in zip(los.tolist(), his.tolist()):
+                if b >= num_runs:
+                    continue
+                pads_a, k_a, reads_a = load_run(a * R)
+                pads_b, k_b, reads_b = load_run(b * R)
+                both = [np.concatenate([x, y]) for x, y in zip(reads_a, reads_b)]
+                order = np.lexsort(
+                    (np.concatenate([k_a, k_b]), np.concatenate([pads_a, pads_b]))
+                )
+                store_atoms(a * R, order[:R], both)
+                store_atoms(b * R, order[R:], both)
+    for lo, hi in scan_chunks(machine, n, streams=2 * T):
+        steps = []
+        for t in range(T):
+            steps.append(("r", work[t], (lo, hi)))
+            steps.append(("w", arrays[t], (lo, hi), lambda r, s=2 * t: r[s]))
+        machine.io_rounds(steps)
+    for w in work:
+        machine.free(w)
+    machine.free(keys)
+
+
+class TestBatchedBlockSortTwin:
+    """The batched block sort (one ``io_rounds`` call per stage, or per
+    run and phase when a stage has fewer comparators than ``R``) emits
+    exactly the events, bytes and ciphertext versions of the
+    per-comparator loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        T=st.integers(1, 3),
+        shape=st.sampled_from([(64, 4), (128, 4), (96, 8), (256, 2)]),
+        run_blocks=st.sampled_from([None, 1, 2, 3]),
+        custom_key=st.booleans(),
+        key_range=st.sampled_from([3, 1000]),
+        floor=st.sampled_from([None, 1, 7]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_comparator_loop(
+        self, n, T, shape, run_blocks, custom_key, key_range, floor, seed
+    ):
+        M, B = shape
+        if run_blocks is not None and 2 * run_blocks * (T + 1) > M // B:
+            run_blocks = None
+        rng = np.random.default_rng(seed)
+        contents = rng.integers(0, key_range, size=(T, n * B, 2))
+        key_fn = (
+            (lambda blk: int(blk[0, 1]) - int(blk[1 % B, 0]))
+            if custom_key
+            else block_sort._default_key
+        )
+        twins = []
+        for batched in (True, False):
+            mach = EMMachine(M, B, retain_trace=True)
+            arrays = [mach.alloc(n, f"a{t}") for t in range(T)]
+            for arr, flat in zip(arrays, contents):
+                arr.load_flat(flat)
+            # The working copies are freed inside the sort: keep their
+            # final bytes and versions for the comparison.
+            freed: list = []
+
+            def free(arr, free=mach.free, freed=freed):
+                freed.append((arr.raw.tobytes(), arr.versions.snapshot().tolist()))
+                free(arr)
+
+            mach.free = free
+            if batched:
+                # A small chunk floor splits long stages into several calls.
+                with mock.patch.object(
+                    block_sort, "_CHUNK_FLOOR", floor or block_sort._CHUNK_FLOOR
+                ):
+                    oblivious_block_sort(
+                        mach, arrays, key_fn=key_fn, run_blocks=run_blocks
+                    )
+            else:
+                _reference_block_sort(mach, arrays, key_fn, run_blocks)
+            twins.append((mach, arrays, freed))
+        (m1, a1, f1), (m2, a2, f2) = twins
+        assert (m1.reads, m1.writes) == (m2.reads, m2.writes)
+        assert np.array_equal(m1.trace.as_array(), m2.trace.as_array())
+        assert f1 == f2
+        for x, y in zip(a1, a2):
+            assert x.raw.tobytes() == y.raw.tobytes()
+            assert np.array_equal(x.versions.snapshot(), y.versions.snapshot())
+        keys = np.array([key_fn(b) for b in a1[0].raw])
+        assert (np.diff(keys) >= 0).all()
 
 
 def fresh_oram(n, M=2048, B=4, seed=1):
