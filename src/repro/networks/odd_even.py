@@ -23,40 +23,48 @@ from repro.util.mathx import is_pow2, next_pow2
 __all__ = ["batcher_pairs", "batcher_sort"]
 
 
+#: Largest network size whose rounds are kept for reuse.  Up to here the
+#: rounds of every size take about 0.1 MB together, and small sorts are
+#: the ones that run often; a larger network costs O(n log^2 n) words to
+#: keep but little next to the sort that uses it, so it is rebuilt.
+_SHARED_MAX = 256
+
+
 def batcher_pairs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield rounds of Batcher's odd-even mergesort for ``n`` (power of 2).
 
     Uses the classic iterative formulation; each round's comparators are
-    disjoint and all point min-to-``lo``.  The rounds are built once per
-    size and shared, so the yielded arrays are read-only.
+    disjoint and all point min-to-``lo``.  Rounds of sizes up to
+    ``_SHARED_MAX`` are built once and shared, so they are read-only.
     """
     if not is_pow2(n):
         raise ValueError(f"odd-even mergesort requires a power-of-two size, got {n}")
-    yield from _batcher_rounds(n)
+    yield from _shared_rounds(n) if n <= _SHARED_MAX else _rounds(n)
 
 
-@lru_cache(maxsize=16)
-def _batcher_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    rounds = []
+@lru_cache(maxsize=None)
+def _shared_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    rounds = tuple(_rounds(n))
+    for lo, hi in rounds:
+        lo.flags.writeable = hi.flags.writeable = False
+    return rounds
+
+
+def _rounds(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     p = 1
     while p < n:
         k = p
         while k >= 1:
-            los: list[int] = []
-            his: list[int] = []
-            for j in range(k % p, n - k, 2 * k):
-                for i in range(min(k, n - j - k)):
-                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
-                        los.append(i + j)
-                        his.append(i + j + k)
-            if los:
-                lo = np.asarray(los, dtype=np.int64)
-                hi = np.asarray(his, dtype=np.int64)
-                lo.flags.writeable = hi.flags.writeable = False
-                rounds.append((lo, hi))
+            # Comparators (i + j, i + j + k) for j = k % p, k % p + 2k, ...
+            # and i < k, kept when both ends lie in one block of 2p (which
+            # also keeps i + j + k < n, as n is a multiple of 2p).
+            j = np.arange(k % p, n - k, 2 * k, dtype=np.int64)
+            lo = (j[:, None] + np.arange(k, dtype=np.int64)).reshape(-1)
+            lo = lo[lo // (2 * p) == (lo + k) // (2 * p)]
+            if len(lo):
+                yield lo, lo + k
             k //= 2
         p *= 2
-    return tuple(rounds)
 
 
 def batcher_sort(records: np.ndarray) -> np.ndarray:

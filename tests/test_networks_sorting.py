@@ -113,6 +113,28 @@ class TestNetworkRounds:
         with pytest.raises(ValueError):
             first[0][0][0] = 1
 
+    @pytest.mark.parametrize("n", [2, 4, 32, 256, 512, 1024])
+    def test_batcher_rounds_match_scalar_loop(self, n):
+        """The vectorized rounds, shared (n <= 256) or rebuilt, equal the
+        classic double loop's."""
+        want = []
+        p = 1
+        while p < n:
+            k = p
+            while k >= 1:
+                los = [
+                    i + j
+                    for j in range(k % p, n - k, 2 * k)
+                    for i in range(min(k, n - j - k))
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p)
+                ]
+                if los:
+                    want.append((los, [x + k for x in los]))
+                k //= 2
+            p *= 2
+        got = [(lo.tolist(), hi.tolist()) for lo, hi in batcher_pairs(n)]
+        assert got == want
+
     @pytest.mark.parametrize("gen", [bitonic_pairs, batcher_pairs])
     def test_rejects_non_pow2(self, gen):
         with pytest.raises(ValueError):
