@@ -25,7 +25,7 @@ aligned): internally every atom drags one side-car key block that is
 filled by ``key_fn`` once at the start; padding atoms carry an explicit
 "pad" flag and sort last.
 
-Run formation, and each stage of the network, runs through the batched
+Run formation and each stage of the network go through the batched
 engine (:meth:`repro.em.machine.EMMachine.io_rounds`) as one call per
 chunk of at most ``_CHUNK_FLOOR`` staged blocks.  Round ``c`` of the
 call is comparator ``c`` (run ``c`` in run formation), and its streams

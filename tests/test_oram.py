@@ -14,9 +14,9 @@ from repro.em import EMMachine, make_block
 from repro.em.batch import empty_blocks, scan_chunks
 from repro.em.block import NULL_KEY, is_empty
 from repro.em.errors import EMError
+from repro.networks.odd_even import batcher_pairs
 from repro.oram import ORAM_BACKENDS, SquareRootORAM, make_oram
 from repro.oram.simulation import measure_oram_overhead
-from repro.networks.odd_even import batcher_pairs
 from repro.oram.tagged_store import _prf
 from repro.util.mathx import ceil_div, next_pow2
 from repro.util.rng import make_rng
