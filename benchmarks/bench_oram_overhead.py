@@ -51,6 +51,11 @@ def bench_e9_overhead_series(capsys):
         assert rows[backend][-1][3] > rows[backend][0][3]
     # The crossover: hierarchical amortizes cheaper at the larger shapes.
     assert rows["hierarchical"][-1][3] < rows["square_root"][-1][3]
+    # The square-root scheme's cost per access grows slower than n: per
+    # n it falls at every step, from 16.69 at n=16 to 4.32 at n=144.
+    per_n = [r[3] / r[0] for r in rows["square_root"]]
+    assert all(a > b for a, b in zip(per_n, per_n[1:]))
+    assert (round(per_n[0], 2), round(per_n[-1], 2)) == (16.69, 4.32)
 
 
 @experiment

@@ -73,57 +73,64 @@ def _reference(left, right, fanout):
     return sorted(groups.items())
 
 
+def measure_query(n: int, config, seed: int) -> dict:
+    """Run the reference query over ``n``-record relations, check its
+    answer and that its transcript hides the mask's selectivity, and
+    return the per-step I/Os with their est/meas ratios."""
+    retry = RetryPolicy(max_attempts=8)
+    qcfg = EMConfig(M=config.M, B=config.B, backend=config.backend)
+    left, right = _relations(n, survivors=n // 4, seed=seed)
+    explain, result, fp = _run_query(left, right, qcfg, seed, retry)
+    got = sorted((int(k), int(v)) for k, v in result.records)
+    assert got == _reference(left, right, 2), "query returned wrong rows"
+
+    # Selectivity hiding, measured: a very different survivor count,
+    # same public shape -> bit-identical full transcript.
+    left2, right2 = _relations(n, survivors=n - n // 8, seed=seed + 1)
+    _, _, fp2 = _run_query(left2, right2, qcfg, seed, retry)
+    assert fp == fp2, "query transcript leaked the mask survivor count"
+
+    est = {s.algorithm: s.est_ios for s in explain.steps}
+    meas = {s.algorithm: s.cost.total for s in result.steps}
+    return {
+        "total_ios": sum(meas.values()),
+        "join_ios": meas["join"],
+        "group_by_ios": meas["group_by"],
+        "join_est_ratio": max(est["join"] / meas["join"],
+                              meas["join"] / est["join"]),
+        "group_by_est_ratio": max(est["group_by"] / meas["group_by"],
+                                  meas["group_by"] / est["group_by"]),
+        "attempts": result.total.attempts,
+        "transcript_fingerprint": fp,
+    }
+
+
 def run_query_benchmark(smoke: bool, config, seed: int, json_dir) -> int:
     """Measure the mask→join→group_by pipeline; 0 on success, 1 on
     failure (mirrors the other ``run_all`` sub-benchmarks)."""
     n = 256 if smoke else 1024
-    retry = RetryPolicy(max_attempts=8)
-    qcfg = EMConfig(M=config.M, B=config.B, backend=config.backend)
     try:
         start = time.perf_counter()
-        left, right = _relations(n, survivors=n // 4, seed=seed)
-        explain, result, fp = _run_query(left, right, qcfg, seed, retry)
+        m = measure_query(n, config, seed)
         wall = time.perf_counter() - start
-
-        got = sorted((int(k), int(v)) for k, v in result.records)
-        assert got == _reference(left, right, 2), "query returned wrong rows"
-
-        # Selectivity hiding, measured: a very different survivor count,
-        # same public shape -> bit-identical full transcript.
-        left2, right2 = _relations(n, survivors=n - n // 8, seed=seed + 1)
-        _, result2, fp2 = _run_query(left2, right2, qcfg, seed, retry)
-        assert fp == fp2, "query transcript leaked the mask survivor count"
-
-        est = {s.algorithm: s.est_ios for s in explain.steps}
-        meas = {s.algorithm: s.cost.total for s in result.steps}
-        ratios = {
-            a: max(est[a] / meas[a], meas[a] / est[a])
-            for a in ("join", "group_by")
-        }
-        total = sum(meas.values())
         print(
-            f"\nquery mask→join→group_by (n={n}, fanout=2): {total} I/Os "
-            f"(join {meas['join']}, group_by {meas['group_by']}); "
-            f"est/meas ratio join {ratios['join']:.2f}, "
-            f"group_by {ratios['group_by']:.2f}; transcript invariant "
+            f"\nquery mask→join→group_by (n={n}, fanout=2): "
+            f"{m['total_ios']} I/Os "
+            f"(join {m['join_ios']}, group_by {m['group_by_ios']}); "
+            f"est/meas ratio join {m['join_est_ratio']:.2f}, "
+            f"group_by {m['group_by_est_ratio']:.2f}; transcript invariant "
             f"across selectivities; {wall:.2f}s"
         )
         if json_dir is not None:
             artifact = {
                 "workload": "mask->join(fanout=2)->group_by(sum)",
                 "n": n,
-                "M": qcfg.M,
-                "B": qcfg.B,
-                "backend": qcfg.backend,
+                "M": config.M,
+                "B": config.B,
+                "backend": config.backend,
                 "seed": seed,
-                "total_ios": total,
-                "join_ios": meas["join"],
-                "group_by_ios": meas["group_by"],
-                "join_est_ratio": ratios["join"],
-                "group_by_est_ratio": ratios["group_by"],
-                "attempts": result.total.attempts,
+                **m,
                 "wall_seconds": wall,
-                "transcript_fingerprint": fp,
             }
             path = json_dir / "BENCH_query.json"
             path.write_text(json.dumps(artifact, indent=2) + "\n")
@@ -131,3 +138,18 @@ def run_query_benchmark(smoke: bool, config, seed: int, json_dir) -> int:
     except Exception as exc:  # noqa: BLE001 - report, then fail the run
         print(f"\nquery benchmark FAILED: {exc}")
         return 1
+
+
+# -- pytest-benchmark entry point (run with `pytest benchmarks/`) -----------
+
+
+def bench_query_reference(capsys):
+    m = measure_query(256, EMConfig(M=128, B=4), seed=0)
+    with capsys.disabled():
+        print()
+        print(
+            f"query mask→join→group_by n=256 — join {m['join_ios']} I/Os, "
+            f"group_by {m['group_by_ios']} I/Os, transcript invariant "
+            f"across selectivities"
+        )
+    assert (m["join_ios"], m["group_by_ios"]) == (171594, 146620)

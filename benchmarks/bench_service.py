@@ -159,18 +159,24 @@ def run_service_benchmark(smoke: bool, config: EMConfig, seed: int, json_dir) ->
 _CONFIG = EMConfig(M=128, B=4, trace=True)
 
 
+#: Exact figures at chunk 64, seed 0: ``n -> (I/Os of either upload,
+#: streamed round trips, streamed peak upload records)``.
+STREAMING_PINS = {256: (24919, 4, 64), 512: (97704, 8, 64)}
+
+
 def bench_service_streaming(capsys):
     rows = []
-    for n in (256, 512):
+    for n, pin in STREAMING_PINS.items():
         m = measure_streaming(n, 64, _CONFIG, seed=0)
-        rows.append(
-            [
-                n,
-                m["streamed_total_ios"],
-                m["streamed_round_trips"],
-                m["streamed_peak_upload_records"],
-            ]
-        )
+        assert m["one_shot_total_ios"] == m["streamed_total_ios"]
+        row = [
+            n,
+            m["streamed_total_ios"],
+            m["streamed_round_trips"],
+            m["streamed_peak_upload_records"],
+        ]
+        assert tuple(row[1:]) == pin, n
+        rows.append(row)
     with capsys.disabled():
         print()
         print(
@@ -189,4 +195,5 @@ def bench_service_batching(capsys):
             f"{m['batch_solo_rounds']} solo → {m['batch_shared_rounds']} "
             f"shared rounds ({100 * m['batch_reduction']:.1f}% reduction)"
         )
+    assert (m["batch_solo_rounds"], m["batch_shared_rounds"]) == (34868, 8717)
     assert m["batch_reduction"] > 0.5

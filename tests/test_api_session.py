@@ -11,6 +11,8 @@ from repro.api import (
     EMConfig,
     ObliviousSession,
     RetryPolicy,
+    algorithm_names,
+    get_algorithm,
     register,
     unregister,
 )
@@ -22,6 +24,7 @@ from repro.core.sorting import SortFailure, oblivious_sort
 from repro.em import NULL_KEY, EMMachine, make_records
 from repro.em.errors import EMError
 from repro.errors import LasVegasFailure, ReproError, RetryExhausted
+from repro.oblivious import workload
 from repro.util.rng import make_rng
 
 M, B = 64, 4
@@ -272,6 +275,44 @@ def test_session_is_reproducible_across_instances():
         b = s2.sort(keys)
     assert a.records.tobytes() == b.records.tobytes()
     assert a.cost == b.cost
+
+
+#: ``(cost.total, cost.attempts)`` of every single-input registered
+#: algorithm on its ``repro.oblivious.workload`` input (rng seed 0) at
+#: session seed 0.  A newly registered algorithm fails until it is added.
+REGISTRY_COSTS = {
+    "bitonic_sort": (1016, 1),
+    "compact": (1517, 1),
+    "compact_logstar": (32505, 1),
+    "compact_loose": (1725, 1),
+    "compact_sparse": (69752, 1),
+    "compact_sparse_hier": (134048, 1),
+    "group_by": (11863, 1),
+    "group_by_sorted": (96, 1),
+    "mask": (48, 1),
+    "merge_sort": (96, 1),
+    "oram_read_batch": (7566, 1),
+    "oram_read_batch_hier": (9700, 1),
+    "quantiles": (4604, 1),
+    "quantiles_sorted": (32, 1),
+    "scale_values": (48, 1),
+    "select": (3636, 1),
+    "select_sorted": (32, 1),
+    "shuffle": (96, 1),
+    "sort": (11763, 1),
+    "sort_then_pick": (354, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in algorithm_names() if get_algorithm(n).arity == 1]
+)
+def test_registered_algorithm_costs_are_pinned(name):
+    assert name in REGISTRY_COSTS, f"add {name!r} to REGISTRY_COSTS"
+    data, params, config_kwargs = workload(name, np.random.default_rng(0))
+    with ObliviousSession(EMConfig(**config_kwargs), seed=0) as session:
+        result = session.run(name, data, **params)
+    assert (result.cost.total, result.cost.attempts) == REGISTRY_COSTS[name]
 
 
 # ---------------------------------------------------------------------------
