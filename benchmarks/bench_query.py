@@ -7,17 +7,15 @@ values per key — as a single machine-resident plan, and measures:
 * modeled block I/Os per step (join's sort-merge over the tagged union
   dominates) against the ``plan.explain()`` analytical estimates;
 * the selectivity-hiding property as a *measured* fact: the complete
-  transcript fingerprint is bit-identical across mask survivor counts,
-  so the artifact pins one fingerprint per shape;
+  transcript fingerprint is bit-identical across mask survivor counts;
 * wall time for the whole pipeline.
 
-``run_all.py`` calls :func:`run_query_benchmark`; with ``--json`` it
-writes ``BENCH_query.json`` for the cross-PR compare.
+``run_all.py`` calls :func:`run_query_benchmark`; the
+``bench_query_reference`` target pins the per-step I/Os.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -73,10 +71,10 @@ def _reference(left, right, fanout):
     return sorted(groups.items())
 
 
-def measure_query(n: int, config, seed: int) -> dict:
+def measure_query(n: int, config, seed: int) -> tuple[dict, dict]:
     """Run the reference query over ``n``-record relations, check its
     answer and that its transcript hides the mask's selectivity, and
-    return the per-step I/Os with their est/meas ratios."""
+    return ``({step: I/Os}, {step: est/meas ratio})``."""
     retry = RetryPolicy(max_attempts=8)
     qcfg = EMConfig(M=config.M, B=config.B, backend=config.backend)
     left, right = _relations(n, survivors=n // 4, seed=seed)
@@ -92,48 +90,28 @@ def measure_query(n: int, config, seed: int) -> dict:
 
     est = {s.algorithm: s.est_ios for s in explain.steps}
     meas = {s.algorithm: s.cost.total for s in result.steps}
-    return {
-        "total_ios": sum(meas.values()),
-        "join_ios": meas["join"],
-        "group_by_ios": meas["group_by"],
-        "join_est_ratio": max(est["join"] / meas["join"],
-                              meas["join"] / est["join"]),
-        "group_by_est_ratio": max(est["group_by"] / meas["group_by"],
-                                  meas["group_by"] / est["group_by"]),
-        "attempts": result.total.attempts,
-        "transcript_fingerprint": fp,
+    ratios = {
+        a: max(est[a] / meas[a], meas[a] / est[a]) for a in ("join", "group_by")
     }
+    return meas, ratios
 
 
-def run_query_benchmark(smoke: bool, config, seed: int, json_dir) -> int:
+def run_query_benchmark(smoke: bool, config, seed: int) -> int:
     """Measure the mask→join→group_by pipeline; 0 on success, 1 on
     failure (mirrors the other ``run_all`` sub-benchmarks)."""
     n = 256 if smoke else 1024
     try:
         start = time.perf_counter()
-        m = measure_query(n, config, seed)
+        meas, ratios = measure_query(n, config, seed)
         wall = time.perf_counter() - start
         print(
             f"\nquery mask→join→group_by (n={n}, fanout=2): "
-            f"{m['total_ios']} I/Os "
-            f"(join {m['join_ios']}, group_by {m['group_by_ios']}); "
-            f"est/meas ratio join {m['join_est_ratio']:.2f}, "
-            f"group_by {m['group_by_est_ratio']:.2f}; transcript invariant "
+            f"{sum(meas.values())} I/Os "
+            f"(join {meas['join']}, group_by {meas['group_by']}); "
+            f"est/meas ratio join {ratios['join']:.2f}, "
+            f"group_by {ratios['group_by']:.2f}; transcript invariant "
             f"across selectivities; {wall:.2f}s"
         )
-        if json_dir is not None:
-            artifact = {
-                "workload": "mask->join(fanout=2)->group_by(sum)",
-                "n": n,
-                "M": config.M,
-                "B": config.B,
-                "backend": config.backend,
-                "seed": seed,
-                **m,
-                "wall_seconds": wall,
-            }
-            path = json_dir / "BENCH_query.json"
-            path.write_text(json.dumps(artifact, indent=2) + "\n")
         return 0
     except Exception as exc:  # noqa: BLE001 - report, then fail the run
         print(f"\nquery benchmark FAILED: {exc}")
@@ -144,12 +122,12 @@ def run_query_benchmark(smoke: bool, config, seed: int, json_dir) -> int:
 
 
 def bench_query_reference(capsys):
-    m = measure_query(256, EMConfig(M=128, B=4), seed=0)
+    meas, _ = measure_query(256, EMConfig(M=128, B=4), seed=0)
     with capsys.disabled():
         print()
         print(
-            f"query mask→join→group_by n=256 — join {m['join_ios']} I/Os, "
-            f"group_by {m['group_by_ios']} I/Os, transcript invariant "
+            f"query mask→join→group_by n=256 — join {meas['join']} I/Os, "
+            f"group_by {meas['group_by']} I/Os, transcript invariant "
             f"across selectivities"
         )
-    assert (m["join_ios"], m["group_by_ios"]) == (171594, 146620)
+    assert (meas["join"], meas["group_by"]) == (171594, 146620)

@@ -16,15 +16,11 @@ Two questions a deployment asks of the service layer, measured:
   count drops well below the back-to-back sum (≈4x fewer turnarounds
   for four look-alike sessions).
 
-``run_all.py --json DIR`` calls :func:`run_service_benchmark` to write
-``BENCH_service.json`` with both measurements so ``compare.py`` tracks
-them across PRs.
+``run_all.py`` calls :func:`run_service_benchmark` to print both; the
+``bench_service_*`` targets pin their exact figures.
 """
 
 from __future__ import annotations
-
-import json
-import time
 
 import numpy as np
 
@@ -49,20 +45,16 @@ def measure_streaming(
     """One-shot vs streamed upload of the same sort; asserts the two are
     byte-identical in output and full transcript before reporting."""
     recs = _records(n, seed)
-    start = time.perf_counter()
     with ObliviousSession(config, seed=seed) as one_shot:
         r1 = one_shot.dataset(recs).sort().run()
         fp1 = one_shot.machine.trace.fingerprint()
         one_peak = one_shot.machine.peak_upload_records
-    one_secs = time.perf_counter() - start
 
-    start = time.perf_counter()
     with ObliviousSession(config, seed=seed) as streamed:
         r2 = streamed.stream(_chunks(recs, chunk_records)).sort().run()
         fp2 = streamed.machine.trace.fingerprint()
         stream_peak = streamed.machine.peak_upload_records
         round_trips = streamed.machine.client_loads
-    stream_secs = time.perf_counter() - start
 
     assert np.array_equal(r1.records, r2.records), "streamed sort diverged"
     assert fp1 == fp2, "streaming changed the adversary view"
@@ -70,8 +62,6 @@ def measure_streaming(
     return {
         "one_shot_total_ios": r1.total.total,
         "streamed_total_ios": r2.total.total,
-        "one_shot_wall_seconds": one_secs,
-        "streamed_wall_seconds": stream_secs,
         "one_shot_peak_upload_records": one_peak,
         "streamed_peak_upload_records": stream_peak,
         "streamed_round_trips": round_trips,
@@ -83,7 +73,6 @@ def measure_batching(
 ) -> dict:
     """Cross-session round coalescing at ``sessions`` concurrent streamed
     sorts under one service."""
-    start = time.perf_counter()
     with ObliviousService(
         config,
         limits=ServiceLimits(max_concurrent_plans=sessions),
@@ -102,23 +91,20 @@ def measure_batching(
             subs.append((f"s{i}", f"tenant-{i}", plan))
         results, report = svc.run_batch(subs)
         assert len(results) == sessions
-    wall = time.perf_counter() - start
     assert report.shared_rounds < report.solo_rounds, (
         "cross-session batching saved nothing"
     )
     return {
         "batch_sessions": sessions,
-        "batch_waves": report.waves,
         "batch_solo_rounds": report.solo_rounds,
         "batch_shared_rounds": report.shared_rounds,
         "batch_reduction": report.reduction,
-        "batch_wall_seconds": wall,
     }
 
 
-def run_service_benchmark(smoke: bool, config: EMConfig, seed: int, json_dir) -> int:
-    """Measure both service questions and write ``BENCH_service.json``
-    (when ``json_dir`` is set); returns the failure count for run_all."""
+def run_service_benchmark(smoke: bool, config: EMConfig, seed: int) -> int:
+    """Measure and print both service questions; returns the failure
+    count for run_all."""
     n, chunk = (256, 64) if smoke else (1024, 128)
     try:
         streaming = measure_streaming(n, chunk, config, seed)
@@ -133,21 +119,6 @@ def run_service_benchmark(smoke: bool, config: EMConfig, seed: int, json_dir) ->
             f"{batching['batch_shared_rounds']} shared rounds "
             f"({100 * batching['batch_reduction']:.1f}% fewer turnarounds)"
         )
-        if json_dir is not None:
-            artifact = {
-                "workload": "streamed upload + cross-session batching",
-                "n": n,
-                "chunk_records": chunk,
-                "num_chunks": (n + chunk - 1) // chunk,
-                "M": config.M,
-                "B": config.B,
-                "backend": config.backend,
-                "seed": seed,
-                **streaming,
-                **batching,
-            }
-            path = json_dir / "BENCH_service.json"
-            path.write_text(json.dumps(artifact, indent=2) + "\n")
         return 0
     except Exception as exc:  # noqa: BLE001 - report, then fail the run
         print(f"\nservice benchmark FAILED: {exc}")
@@ -169,14 +140,13 @@ def bench_service_streaming(capsys):
     for n, pin in STREAMING_PINS.items():
         m = measure_streaming(n, 64, _CONFIG, seed=0)
         assert m["one_shot_total_ios"] == m["streamed_total_ios"]
-        row = [
-            n,
+        row = (
             m["streamed_total_ios"],
             m["streamed_round_trips"],
             m["streamed_peak_upload_records"],
-        ]
-        assert tuple(row[1:]) == pin, n
-        rows.append(row)
+        )
+        assert row == pin, n
+        rows.append([n, *row])
     with capsys.disabled():
         print()
         print(

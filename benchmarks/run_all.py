@@ -11,22 +11,17 @@ Modes::
     python benchmarks/run_all.py                    # full sizes
     python benchmarks/run_all.py --backend memmap   # file-backed storage
     python benchmarks/run_all.py --list             # registry contents
-    python benchmarks/run_all.py --json out/        # BENCH_<algo>.json files
 
-Exits non-zero if any algorithm fails or validates incorrectly, so CI
-can use ``--smoke`` as a facade-wide regression gate.  ``--json DIR``
-additionally writes one ``BENCH_<algo>.json`` artifact per algorithm
-(wall time, I/O counts, batch statistics, N/M/B) so the performance
-trajectory can be tracked across pull requests.
+After the registry it runs the pipeline, ORAM peel, service and query
+comparisons.  Exits non-zero if any algorithm fails or validates
+incorrectly, so CI can use ``--smoke`` as a facade-wide regression gate.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +33,8 @@ from repro.api import (
     algorithm_names,
     get_algorithm,
 )
+from bench_query import run_query_benchmark
+from bench_service import run_service_benchmark
 
 
 def build_workload(name: str, n: int, B: int, rng: np.random.Generator, M: int):
@@ -209,10 +206,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--list", action="store_true", help="list registered algorithms and exit"
     )
-    parser.add_argument(
-        "--json", metavar="DIR", default=None,
-        help="write one BENCH_<algo>.json artifact per algorithm to DIR",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -225,9 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     n, M, B = (256, 128, 4) if args.smoke else (1024, 256, 8)
     config = EMConfig(M=M, B=B, trace=True, backend=args.backend)
     rng = np.random.default_rng(args.seed)
-    json_dir = Path(args.json) if args.json else None
-    if json_dir is not None:
-        json_dir.mkdir(parents=True, exist_ok=True)
     print(
         f"running {len(algorithm_names())} registered algorithms through "
         f"ObliviousSession (n={n}, M={M}, B={B}, backend={args.backend})\n"
@@ -253,36 +243,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"{name:>15}  {result.cost.total:>8}  "
                 f"{result.cost.attempts:>8}  {elapsed:>6.2f}  ok"
             )
-            if json_dir is not None:
-                artifact = {
-                    "algorithm": name,
-                    "n": n,
-                    "M": M,
-                    "B": B,
-                    "backend": args.backend,
-                    "seed": args.seed,
-                    "wall_seconds": elapsed,
-                    "reads": result.cost.reads,
-                    "writes": result.cost.writes,
-                    "total_ios": result.cost.total,
-                    "attempts": result.cost.attempts,
-                    "batches": result.cost.batches,
-                    "batched_ios": result.cost.batched_ios,
-                    "mean_batch_size": result.cost.mean_batch_size,
-                    "batched_fraction": result.cost.batched_fraction,
-                    "trace_fingerprint": result.cost.trace_fingerprint,
-                }
-                path = json_dir / f"BENCH_{name}.json"
-                path.write_text(json.dumps(artifact, indent=2) + "\n")
         except Exception as exc:  # noqa: BLE001 - report, then fail the run
             elapsed = time.perf_counter() - start
             print(f"{name:>15}  {'-':>8}  {'-':>8}  {elapsed:>6.2f}  FAIL: {exc}")
             failures += 1
-    failures += run_pipeline_comparison(n, config, args.seed, json_dir)
-    failures += run_oram_benchmark(args.smoke, args.seed, json_dir)
-    failures += run_service_comparison(args.smoke, config, args.seed, json_dir)
-    failures += run_query_benchmark_wrapper(args.smoke, config, args.seed, json_dir)
-    failures += run_lint_report(json_dir)
+    failures += run_pipeline_comparison(n, config, args.seed)
+    failures += run_oram_benchmark(args.smoke, args.seed)
+    failures += run_service_benchmark(args.smoke, config, args.seed)
+    failures += run_query_benchmark(args.smoke, config, args.seed)
     if failures:
         print(f"\n{failures} algorithm(s) failed")
         return 1
@@ -290,75 +258,14 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def run_query_benchmark_wrapper(smoke: bool, config, seed: int, json_dir) -> int:
-    """Measure the relational mask→join→group_by pipeline and its
-    selectivity-hiding transcript invariance (``BENCH_query.json`` when
-    ``--json`` is active)."""
-    from bench_query import run_query_benchmark
-
-    return run_query_benchmark(smoke, config, seed, json_dir)
-
-
-def run_lint_report(json_dir) -> int:
-    """Run the static obliviousness linter and record its rule counts
-    (``BENCH_lint.json`` when ``--json`` is active).
-
-    The blocking strict gate lives in CI's dedicated lint job; this
-    section keeps the per-rule finding counts and pragma census in the
-    benchmark artifact trail so suppression growth is visible across
-    PRs, and fails the run if the repo ever goes strict-dirty so the
-    artifact cannot silently go stale."""
-    from repro.lint import run_lint
-
-    start = time.perf_counter()
-    report = run_lint()
-    elapsed = time.perf_counter() - start
-    status = "ok" if report.strict_ok() else "DIRTY"
-    print(
-        f"\nstatic linter: {len(report.findings)} finding(s) "
-        f"({len(report.expected)} expected baseline, "
-        f"{len(report.unexpected)} unexpected), "
-        f"{report.pragma_count} pragma(s), "
-        f"{report.lint_public_count} lint_public entr(ies)  [{status}]"
-    )
-    if json_dir is not None:
-        artifact = {
-            "rule_counts": report.rule_counts(),
-            "expected_findings": len(report.expected),
-            "unexpected_findings": len(report.unexpected),
-            "pragmas": report.pragma_count,
-            "lint_public_entries": report.lint_public_count,
-            "summary_rounds": report.summary_rounds,
-            "merge_sort_flagged": report.merge_sort_flagged(),
-            "wall_seconds": elapsed,
-        }
-        path = json_dir / "BENCH_lint.json"
-        path.write_text(json.dumps(artifact, indent=2) + "\n")
-    return 0 if report.strict_ok() else 1
-
-
-def run_service_comparison(smoke: bool, config, seed: int, json_dir) -> int:
-    """Measure streamed vs one-shot upload and cross-session batching
-    (``BENCH_service.json`` when ``--json`` is active) — the service
-    layer's two serving claims, tracked across PRs like the pipeline's
-    round-trip savings."""
-    from bench_service import run_service_benchmark
-
-    return run_service_benchmark(smoke, config, seed, json_dir)
-
-
-def run_oram_benchmark(smoke: bool, seed: int, json_dir) -> int:
+def run_oram_benchmark(smoke: bool, seed: int) -> int:
     """Measure the ORAM-simulated Theorem-4 peel at the reference shapes
-    and the per-backend E9 amortized access cost, and write
-    ``BENCH_oram.json`` (peel constant per ``r^1.5`` plus
-    ``sqrt_amortized_ios_per_access`` / ``hier_amortized_ios_per_access``)
-    so ``benchmarks/compare.py`` tracks the ORAM hot loop and the
-    backend crossover across PRs.  The peel shapes mirror the
-    calibration comments in ``repro.analysis.bounds`` (scalar baseline
-    was 82k–105k; the batched + restructured peel measures ~24k–28k);
-    the amortized figures run the E9 reference workload (3n reads at
-    M=4096, B=4, seed 0) where the hierarchical backend's polylog
-    amortization beats the square-root scheme."""
+    and the per-backend E9 amortized access cost.  The peel shapes
+    mirror the calibration comments in ``repro.analysis.bounds`` (scalar
+    baseline was 82k–105k; the batched + restructured peel measures
+    ~24k–28k); the amortized figures run the E9 reference workload (3n
+    reads at M=4096, B=4, seed 0) where the hierarchical backend's
+    polylog amortization beats the square-root scheme."""
     import math
 
     from repro.core.compaction import tight_compact_sparse
@@ -368,7 +275,7 @@ def run_oram_benchmark(smoke: bool, seed: int, json_dir) -> int:
 
     shapes = [(32, 2), (64, 3)] + ([] if smoke else [(128, 5)])
     M, B = 64, 4
-    rows = []
+    constants = []
     try:
         start = time.perf_counter()
         for n_blocks, r in shapes:
@@ -380,23 +287,13 @@ def run_oram_benchmark(smoke: bool, seed: int, json_dir) -> int:
             machine = EMMachine(M=M, B=B, trace=False)
             A = machine.alloc(n_blocks, "bench.oram")
             A.load_flat(layout)
-            t0 = time.perf_counter()
             out = tight_compact_sparse(
                 machine, A, r, np.random.default_rng(seed + 99),
                 oblivious_list=True,
             )
-            dt = time.perf_counter() - t0
             got = [int(out.raw[j][0, 0]) for j in range(r)]
             assert got == (live + 1).tolist(), "oblivious peel lost records"
-            total = machine.total_ios
-            constant = (total - 13 * n_blocks) / r**1.5
-            rows.append({
-                "n_blocks": n_blocks,
-                "r": r,
-                "total_ios": total,
-                "peel_constant_per_r15": constant,
-                "wall_seconds": dt,
-            })
+            constants.append((machine.total_ios - 13 * n_blocks) / r**1.5)
         # Per-backend E9 amortized access cost at the reference shape
         # (smoke uses the smaller one).  The hierarchical figure beating
         # the square-root one is the crossover pinned in
@@ -410,46 +307,25 @@ def run_oram_benchmark(smoke: bool, seed: int, json_dir) -> int:
             )
             amortized[backend] = stats.amortized_ios_per_access
         wall = time.perf_counter() - start
-        geomean = math.exp(
-            sum(math.log(row["peel_constant_per_r15"]) for row in rows)
-            / len(rows)
-        )
+        geomean = math.exp(sum(math.log(c) for c in constants) / len(constants))
         print(
             f"\nORAM-simulated peel (Theorem 4, oblivious_list=True): "
-            f"constant {geomean:.0f} I/Os per r^1.5 over "
-            f"{[(row['n_blocks'], row['r']) for row in rows]}; "
+            f"constant {geomean:.0f} I/Os per r^1.5 over {shapes}; "
             f"E9 amortized at n={e9_n}: "
             f"sqrt {amortized['square_root']:.1f} vs "
             f"hier {amortized['hierarchical']:.1f} I/Os/access "
             f"({wall:.2f}s)"
         )
-        if json_dir is not None:
-            artifact = {
-                "workload": "tight_compact_sparse oblivious ORAM peel",
-                "M": M,
-                "B": B,
-                "seed": seed,
-                "shapes": rows,
-                "total_ios": sum(row["total_ios"] for row in rows),
-                "wall_seconds": wall,
-                "peel_constant_per_r15": geomean,
-                "e9_n": e9_n,
-                "sqrt_amortized_ios_per_access": amortized["square_root"],
-                "hier_amortized_ios_per_access": amortized["hierarchical"],
-            }
-            path = json_dir / "BENCH_oram.json"
-            path.write_text(json.dumps(artifact, indent=2) + "\n")
         return 0
     except Exception as exc:  # noqa: BLE001 - report, then fail the run
         print(f"\nORAM peel benchmark FAILED: {exc}")
         return 1
 
 
-def run_pipeline_comparison(n, config, seed, json_dir) -> int:
+def run_pipeline_comparison(n, config, seed) -> int:
     """Run the 3-step shuffle→compact→sort chain three ways — facade,
     verbatim pipeline, optimized pipeline — and report the round-trip
-    and optimizer savings (BENCH_pipeline.json when ``--json`` is
-    active)."""
+    and optimizer savings."""
     from _workloads import facade_chain, pipeline_chain
 
     keys = np.random.default_rng(seed).permutation(np.arange(n))
@@ -482,31 +358,6 @@ def run_pipeline_comparison(n, config, seed, json_dir) -> int:
             f"optimized: {opt_ios} I/Os "
             f"({[s.algorithm for s in opt_result.steps]}, {opt_secs:.2f}s)"
         )
-        if json_dir is not None:
-            artifact = {
-                "workload": "shuffle->compact->sort",
-                "n": n,
-                "M": config.M,
-                "B": config.B,
-                "backend": config.backend,
-                "seed": seed,
-                "total_ios": result.total.total,
-                "facade_round_trips": facade_trips,
-                "pipeline_round_trips": pipeline_trips,
-                "facade_wall_seconds": facade_secs,
-                "pipeline_wall_seconds": pipeline_secs,
-                "optimized_total_ios": opt_ios,
-                "optimized_wall_seconds": opt_secs,
-                "optimized_steps": [
-                    {"algorithm": s.algorithm, "note": s.note}
-                    for s in opt_result.steps
-                ],
-                "step_fingerprints": [
-                    s.cost.trace_fingerprint for s in result.steps
-                ],
-            }
-            path = json_dir / "BENCH_pipeline.json"
-            path.write_text(json.dumps(artifact, indent=2) + "\n")
         return 0
     except Exception as exc:  # noqa: BLE001 - report, then fail the run
         print(f"\npipeline comparison FAILED: {exc}")

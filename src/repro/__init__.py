@@ -43,8 +43,8 @@ Subpackages
     (Theorem 17), shuffle-and-deal, failure sweeping, and the oblivious
     sort (Theorem 21).
 ``repro.networks``
-    Comparator networks (bitonic, odd-even), randomized Shellsort, and
-    the butterfly compaction network of Figure 1.
+    Comparator networks (bitonic, odd-even) and the butterfly
+    compaction network of Figure 1.
 ``repro.iblt``
     Invertible Bloom lookup tables (§2).
 ``repro.oram``
@@ -86,12 +86,11 @@ from repro.em import (
     make_block,
     make_records,
 )
-from repro.analysis import fit_complexity
 from repro.api import CostReport, EMConfig, ObliviousSession, Result, RetryPolicy
 from repro.errors import LasVegasFailure, ReproError, RetryExhausted
 from repro.iblt import IBLT
 from repro.networks import butterfly_compact, butterfly_expand
-from repro.oram import LinearScanORAM, SquareRootORAM
+from repro.oram import SquareRootORAM
 from repro.util.rng import make_rng
 
 __version__ = "1.0.0"
@@ -136,10 +135,8 @@ __all__ = [
     # substrates
     "IBLT",
     "SquareRootORAM",
-    "LinearScanORAM",
     "butterfly_compact",
     "butterfly_expand",
-    "fit_complexity",
     # baselines
     "external_merge_sort",
     "bitonic_external_sort",

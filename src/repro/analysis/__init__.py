@@ -1,12 +1,8 @@
-"""Complexity-curve analysis helpers for the experiment harness."""
+"""Analytical I/O estimates from the paper's bounds."""
 
 from repro.analysis.bounds import IOBound, PAPER_BOUNDS, estimate_ios
-from repro.analysis.fitting import ComplexityFit, fit_complexity, io_models
 
 __all__ = [
-    "ComplexityFit",
-    "fit_complexity",
-    "io_models",
     "IOBound",
     "PAPER_BOUNDS",
     "estimate_ios",

@@ -35,7 +35,6 @@ __all__ = [
     "IOBound",
     "PAPER_BOUNDS",
     "estimate_ios",
-    "stream_upload_cost",
 ]
 
 
@@ -377,8 +376,7 @@ PAPER_BOUNDS: dict[str, IOBound] = {
         # Uploads are setup affordances outside the block-I/O model —
         # identical for one-shot and chunked arrival.  What changes is
         # the *round-trip* count (c instead of 1) and the peak client
-        # residency (one chunk instead of n records), which
-        # :func:`stream_upload_cost` prices separately.
+        # residency (one chunk instead of n records).
         estimate=lambda n, m, params: 0.0,
     ),
     "merge_sort": IOBound(
@@ -407,27 +405,3 @@ def estimate_ios(
     bound = PAPER_BOUNDS[cost_model]
     return float(bound.estimate(max(1, n_blocks), max(2, m), params or {}))
 
-
-def stream_upload_cost(
-    num_chunks: int, chunk_records: int
-) -> dict[str, int]:
-    """Cost model of a chunked source's client↔server data movement.
-
-    A streamed upload trades round trips for client residency: the
-    one-shot plan pays one trip holding all ``num_chunks·chunk_records``
-    records client-side, the streamed plan pays ``num_chunks`` trips
-    holding at most ``chunk_records``.  Block I/Os are zero either way
-    (uploads are setup affordances, as in :data:`PAPER_BOUNDS`'s
-    ``stream_source`` entry); the adversary-visible total is identical.
-    """
-    if num_chunks < 1 or chunk_records < 1:
-        raise ValueError(
-            f"need num_chunks >= 1 and chunk_records >= 1, got "
-            f"({num_chunks}, {chunk_records})"
-        )
-    return {
-        "round_trips": num_chunks,
-        "peak_client_records": chunk_records,
-        "public_total_records": num_chunks * chunk_records,
-        "block_ios": 0,
-    }

@@ -240,27 +240,6 @@ class Dataset:
         """
         return self.apply("group_by", agg=agg, **params)
 
-    @classmethod
-    def from_chunks(
-        cls,
-        session: "ObliviousSession",
-        chunks,
-        *,
-        chunk_records: int | None = None,
-        num_chunks: int | None = None,
-    ) -> "Dataset":
-        """A streamed source: records arriving as a public chunk schedule.
-
-        Equivalent to :meth:`repro.api.ObliviousSession.stream`; see
-        :class:`repro.service.streaming.StreamSource` for the padding
-        and obliviousness contract."""
-        return make_stream_source(
-            session,
-            chunks,
-            chunk_records=chunk_records,
-            num_chunks=num_chunks,
-        )
-
     def sort(self, **params: Any) -> "Dataset":
         """Oblivious sort (Theorem 21)."""
         return self.apply("sort", **params)

@@ -26,7 +26,6 @@ __all__ = [
     "concat_arrays",
     "block_occupied",
     "blocks_occupied",
-    "count_occupied_blocks",
     "ranked_records_scan",
 ]
 
@@ -74,16 +73,6 @@ def concat_arrays(machine: EMMachine, parts: list[EMArray], name: str) -> EMArra
 def block_occupied(block: np.ndarray) -> bool:
     """In-cache test: does the block hold any non-empty record?"""
     return bool(np.any(~is_empty(block)))
-
-
-def count_occupied_blocks(machine: EMMachine, A: EMArray) -> int:
-    """Scan counting occupied blocks (the count is private to Alice)."""
-    count = 0
-    for lo, hi in scan_chunks(machine, A.num_blocks):
-        with hold_scan(machine, 1, hi - lo):
-            blocks = machine.read_many(A, (lo, hi))
-            count += int(np.count_nonzero(blocks_occupied(blocks)))
-    return count
 
 
 def ranked_records_scan(

@@ -1,19 +1,16 @@
 """Sorting and routing networks.
 
-Deterministic comparator networks (bitonic, Batcher odd-even mergesort),
-the randomized Shellsort of Goodrich [23], and the butterfly-like
-compaction network of Theorem 6 / Figure 1.
+Deterministic comparator networks (bitonic, Batcher odd-even mergesort)
+and the butterfly-like compaction network of Theorem 6 / Figure 1.
 """
 
 from repro.networks.comparator import (
     compare_exchange,
     order_keys,
-    records_sorted,
     sort_records,
 )
 from repro.networks.bitonic import bitonic_pairs, bitonic_sort
 from repro.networks.odd_even import batcher_pairs, batcher_sort
-from repro.networks.shellsort import randomized_shellsort
 from repro.networks.butterfly import (
     ButterflyCollisionError,
     butterfly_compact,
@@ -25,13 +22,11 @@ from repro.networks.butterfly import (
 __all__ = [
     "compare_exchange",
     "order_keys",
-    "records_sorted",
     "sort_records",
     "bitonic_pairs",
     "bitonic_sort",
     "batcher_pairs",
     "batcher_sort",
-    "randomized_shellsort",
     "ButterflyCollisionError",
     "butterfly_compact",
     "butterfly_expand",

@@ -20,7 +20,6 @@ __all__ = [
     "order_keys",
     "compare_exchange",
     "sort_records",
-    "records_sorted",
 ]
 
 #: The key empties are mapped to for ordering purposes.  Real keys must be
@@ -65,10 +64,3 @@ def sort_records(records: np.ndarray, *, stable: bool = True) -> np.ndarray:
     keys = order_keys(records)
     order = np.argsort(keys, kind="stable" if stable else "quicksort")
     return records[order]
-
-
-def records_sorted(records: np.ndarray) -> bool:
-    """Check that non-empty records appear in non-decreasing key order and
-    that no real record follows an empty cell."""
-    keys = order_keys(records)
-    return bool(np.all(keys[:-1] <= keys[1:])) if len(keys) > 1 else True

@@ -3,7 +3,7 @@
 Theorem 4 needs a data-oblivious simulation of the IBLT ``listEntries``
 RAM program; the paper invokes the Goodrich–Mitzenmacher simulation with
 ``O(log^2 r)`` amortized overhead.  Two interchangeable backends provide
-it (plus a linear-scan baseline):
+it:
 
 * :class:`~repro.oram.square_root.SquareRootORAM` — the classical
   Goldreich–Ostrovsky square-root scheme, ``O(sqrt(n) log^2 n)``
@@ -25,12 +25,10 @@ plan optimizer can select the backend per shape.
 """
 
 from repro.oram.hierarchical import HierarchicalORAM
-from repro.oram.linear import LinearScanORAM
 from repro.oram.simulation import ORAMStats, measure_oram_overhead
 from repro.oram.square_root import SquareRootORAM
 
 __all__ = [
-    "LinearScanORAM",
     "SquareRootORAM",
     "HierarchicalORAM",
     "ORAMStats",

@@ -17,8 +17,6 @@ from repro.networks import (
     bitonic_sort,
     compare_exchange,
     order_keys,
-    randomized_shellsort,
-    records_sorted,
     sort_records,
 )
 
@@ -63,13 +61,6 @@ class TestComparatorPrimitives:
         out = sort_records(r)
         assert list(out[:, 0]) == [1, 1, 2, 2]
         assert list(out[:, 1]) == [1, 3, 0, 2]
-
-    def test_records_sorted_checker(self):
-        assert records_sorted(recs([1, 2, 3]))
-        assert not records_sorted(recs([2, 1]))
-        r = recs([1, 2])
-        r[0, 0] = NULL_KEY  # empty before real record = not sorted
-        assert not records_sorted(r)
 
 
 def _sorts_all_zero_one_inputs(pairs, n):
@@ -168,35 +159,3 @@ class TestSortersOnRandomInputs:
         out = bitonic_sort(r)
         assert list(out[:3, 0]) == [2, 5, 5]
         assert out[3, 0] == NULL_KEY
-
-
-class TestRandomizedShellsort:
-    @pytest.mark.parametrize("n", [1, 2, 10, 64, 200])
-    def test_sorts_random_inputs(self, n):
-        rng = np.random.default_rng(5)
-        keys = rng.integers(0, 10**6, size=n)
-        out = randomized_shellsort(recs(keys), np.random.default_rng(77))
-        assert np.array_equal(out[:, 0], np.sort(keys))
-
-    def test_sorts_adversarial_inputs(self):
-        for keys in [np.zeros(128), np.arange(128)[::-1], np.arange(128)]:
-            out = randomized_shellsort(
-                recs(keys.astype(np.int64)), np.random.default_rng(3)
-            )
-            assert records_sorted(out)
-
-    def test_seed_determinism(self):
-        keys = np.random.default_rng(0).integers(0, 1000, size=100)
-        a = randomized_shellsort(recs(keys), np.random.default_rng(42))
-        b = randomized_shellsort(recs(keys), np.random.default_rng(42))
-        assert np.array_equal(a, b)
-
-    def test_success_rate_over_seeds(self):
-        """Goodrich 2010 proves w.v.h.p. sorting; empirically the failure
-        rate at n=256, c=4 should be essentially zero."""
-        keys = np.random.default_rng(1).integers(0, 10**6, size=256)
-        fails = sum(
-            not records_sorted(randomized_shellsort(recs(keys), np.random.default_rng(s)))
-            for s in range(25)
-        )
-        assert fails == 0

@@ -373,11 +373,11 @@ class TestOverheadAccounting:
 
 class TestBackendEconomics:
     def test_hierarchical_beats_square_root_at_reference_shape(self):
-        """The acceptance pin: at the larger BENCH_oram.json reference
-        shape (n=144, M=4096, B=4, 3n accesses, seed 0) the hierarchical
-        scheme's amortized I/Os per access is strictly lower.  Both
-        amortized figures are exact (``benchmarks/compare.py`` treats
-        them as EXACT), so the totals and rebuild shares are pinned."""
+        """The acceptance pin: at the larger E9 reference shape (n=144,
+        M=4096, B=4, 3n accesses, seed 0) the hierarchical scheme's
+        amortized I/Os per access is strictly lower.  Both amortized
+        figures are deterministic, so the totals and rebuild shares are
+        pinned exactly."""
         sq = measure_oram_overhead(144, 3 * 144, M=4096, B=4, seed=0)
         hi = measure_oram_overhead(
             144, 3 * 144, M=4096, B=4, seed=0, oram_factory="hierarchical"
