@@ -404,4 +404,3 @@ def estimate_ios(
     """
     bound = PAPER_BOUNDS[cost_model]
     return float(bound.estimate(max(1, n_blocks), max(2, m), params or {}))
-
