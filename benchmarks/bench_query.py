@@ -130,4 +130,4 @@ def bench_query_reference(capsys):
             f"group_by {meas['group_by']} I/Os, transcript invariant "
             f"across selectivities"
         )
-    assert (meas["join"], meas["group_by"]) == (171594, 146620)
+    assert (meas["join"], meas["group_by"]) == (104198, 90140)

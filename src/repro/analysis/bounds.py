@@ -133,15 +133,16 @@ def _union(n: int, params: Mapping) -> int:
 
 #: Calibrated leading constants (implementation-measured; the paper gives
 #: only asymptotics).  Measured per-block constants across the reference
-#: shapes (M=64,B=4,n=512 … M=256,B=8,n=2048): compact 16–26, select and
-#: quantiles 87–173, sort 330–980 (its recursion constant is large and
-#: drifts with how many levels the shape needs — the paper's own
-#: constant-factor caveat).  The chosen values sit near the geometric
-#: means, keeping estimates within ~2× of measurements at those shapes;
-#: ``tests/test_api_pipeline.py`` pins a documented ×4 envelope.
-_C_COMPACT = 20.0
-_C_SELECT = 120.0
-_C_QUANTILES = 120.0
+#: shapes (M=64,B=4,n=512 … M=256,B=8,n=2048, dense keys) with the
+#: in-place butterfly router: compact 6.4–8.1, select 66–103, quantiles
+#: 66–105, sort 420–615 (its recursion constant is large and drifts with
+#: how many levels the shape needs — the paper's own constant-factor
+#: caveat).  Compact, select and quantiles sit near the geometric means
+#: (7.3, 78, 80); sort keeps its earlier 550, within 1.03–1.31× of every
+#: shape.  ``tests/test_api_pipeline.py`` pins a documented ×4 envelope.
+_C_COMPACT = 7.5
+_C_SELECT = 80.0
+_C_QUANTILES = 80.0
 _C_SORT = 550.0
 #: Sparse-IBLT compaction (Theorem 4): the linear insert pass costs
 #: ``13·n`` exactly (one read plus k=3 read-modify-write pairs on two
@@ -155,8 +156,8 @@ _C_SORT = 550.0
 #: (see ``repro.core.compaction._peel_oram``) — measures 24.3k–25.8k at
 #: the same shapes (80k/118k/304k total), a ≥3.3× cut.  That is what
 #: moves the Theorem 4 crossover from *extreme* to *moderate* sparsity:
-#: e.g. at n=2048 blocks, r=2 the old constant priced the peel at 281k
-#: (butterfly: 154k — never chosen); now 97k, so the optimizer selects
+#: e.g. at n=8192 blocks, m=16, r=2 the old constant priced it at 361k
+#: (butterfly: 261k — never chosen); now 177k, so the optimizer selects
 #: it (pinned in tests/test_oram_pipeline.py).
 _C_SPARSE_PEEL = 25000.0
 #: Theorem 4 peel with hierarchical ORAMs instead of square-root ones.

@@ -31,7 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.baselines import bitonic_external_sort, external_merge_sort, sort_then_pick
-from repro.core._helpers import empty_block, hold_scan, scan_chunks
+from repro.core._helpers import empty_block
 from repro.core.compaction import (
     CompactionFailure,
     loose_compact,
@@ -44,6 +44,7 @@ from repro.core.quantiles import quantiles_em, quantiles_sorted_em
 from repro.core.selection import select_em, select_sorted_em
 from repro.core.shuffle import knuth_block_shuffle
 from repro.core.sorting import oblivious_sort
+from repro.em.batch import hold_scan, scan_chunks
 from repro.em.block import NULL_KEY, is_empty
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray

@@ -11,21 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.em.batch import blocks_occupied, empty_blocks, hold_scan, scan_chunks
+from repro.em.batch import hold_scan, scan_chunks
 from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
 
 __all__ = [
     "empty_block",
-    "empty_blocks",
-    "scan_chunks",
-    "hold_scan",
     "copy_blocks",
     "copy_array",
     "concat_arrays",
     "block_occupied",
-    "blocks_occupied",
     "ranked_records_scan",
 ]
 

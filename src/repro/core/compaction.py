@@ -32,17 +32,14 @@ import numpy as np
 
 from repro.core._helpers import (
     block_occupied,
-    blocks_occupied,
     concat_arrays,
     copy_array,
     copy_blocks,
     empty_block,
-    empty_blocks,
-    hold_scan,
-    scan_chunks,
 )
 from repro.core.block_sort import oblivious_block_sort
 from repro.core.thinning import thinning_rounds
+from repro.em.batch import blocks_occupied, empty_blocks, hold_scan, scan_chunks
 from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
 from repro.em.errors import EMError
 from repro.errors import LasVegasFailure
@@ -97,8 +94,6 @@ def tight_compact(
     machine: EMMachine,
     A: EMArray,
     out_blocks: int | None = None,
-    *,
-    windowed: bool = True,
 ) -> EMArray:
     """Tight order-preserving compaction of ``A``'s occupied blocks.
 
@@ -109,7 +104,7 @@ def tight_compact(
     are occupied (detected privately after routing — the trace up to the
     failure is identical either way).
     """
-    routed = butterfly_compact(machine, A, windowed=windowed)
+    routed = butterfly_compact(machine, A)
     if out_blocks is None or out_blocks == A.num_blocks:
         return routed
     out = machine.alloc(out_blocks, f"{A.name}.tight")

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._helpers import copy_blocks, empty_blocks, hold_scan, scan_chunks
+from repro.core._helpers import copy_blocks
 from repro.core.block_sort import oblivious_block_sort
 from repro.core.external_sort import oblivious_external_sort
+from repro.em.batch import empty_blocks, hold_scan, scan_chunks
 from repro.em.block import NULL_KEY, is_empty
 from repro.em.errors import EMError
 from repro.errors import LasVegasFailure

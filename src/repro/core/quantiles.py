@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core._helpers import hold_scan, ranked_records_scan, scan_chunks
+from repro.core._helpers import ranked_records_scan
 from repro.core.compaction import tight_compact
 from repro.core.consolidation import consolidate
 from repro.core.external_sort import oblivious_external_sort
+from repro.em.batch import hold_scan, scan_chunks
 from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
 from repro.em.errors import EMError
 from repro.errors import LasVegasFailure

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core._helpers import blocks_occupied, empty_block, hold_scan, scan_chunks
+from repro.core._helpers import empty_block
+from repro.em.batch import blocks_occupied, hold_scan, scan_chunks
 from repro.em.errors import EMError
 from repro.errors import LasVegasFailure
 from repro.em.machine import EMMachine

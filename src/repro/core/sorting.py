@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core._helpers import concat_arrays, hold_scan, scan_chunks
+from repro.core._helpers import concat_arrays
 from repro.core.compaction import (
     CompactionFailure,
     loose_compact,
@@ -48,6 +48,7 @@ from repro.core.external_sort import oblivious_external_sort
 from repro.core.failure_sweep import SweepOverflow, failure_sweep
 from repro.core.quantiles import QuantileFailure, quantiles_em
 from repro.core.shuffle import DealOverflow, shuffle_and_deal
+from repro.em.batch import hold_scan, scan_chunks
 from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
 from repro.em.errors import EMError
 from repro.errors import LasVegasFailure

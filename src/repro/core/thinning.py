@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._helpers import blocks_occupied, empty_blocks, hold_scan, scan_chunks
+from repro.em.batch import blocks_occupied, empty_blocks, hold_scan, scan_chunks
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
 

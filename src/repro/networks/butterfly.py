@@ -6,18 +6,18 @@ carries a *distance label* ``d_j`` — how far left it must travel for a
 tight compaction — and at level ``i`` moves by ``d_j mod 2^{i+1}`` (either
 0 or ``2^i``).  Lemma 5 proves no two cells ever collide.
 
-Three views are provided:
+Two views are provided:
 
 * :func:`butterfly_levels_trace` — an in-memory, per-level simulation that
   records every intermediate level.  This regenerates **Figure 1**.
-* ``_route_in_memory`` — the same routing collapsed level-by-level, used as
-  the cache-resident base case.
 * :func:`butterfly_compact` — the external-memory algorithm on block
-  arrays.  ``windowed=False`` simulates the circuit one level at a time
-  (``O(n log n)`` I/Os); ``windowed=True`` implements the paper's
-  windowing optimization — route ``g = Theta(log m)`` levels per scan
-  through a sliding window of ``2^g`` cells, then gather the ``2^g``
-  independent residue classes and recurse — for ``O(n log_m n)`` I/Os.
+  arrays, with the paper's windowing optimization: each scan routes
+  ``g = Theta(log m)`` levels through a window of ``2^g`` cells, for
+  ``O(n log_m n)`` I/Os.  After ``p`` levels the residue classes mod
+  ``2^p`` are independent, so the next scan routes every class where
+  it lies, in place, rather than copying the classes out and back.
+  The per-level circuit simulation (``O(n log n)`` I/Os) survives only
+  as the E3 comparator in :mod:`repro.baselines.butterfly_naive`.
 
 :func:`butterfly_expand` runs the network "in reverse" (the remark after
 Theorem 6): each element carries a non-decreasing *expansion factor* and
@@ -128,46 +128,6 @@ def _route_one_level(
     return new_occ, new_lab, new_payload
 
 
-def _route_in_memory(
-    occ: np.ndarray,
-    lab: np.ndarray,
-    payload: np.ndarray,
-    levels: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route ``levels`` network levels entirely in private memory.
-
-    Uses the composite map: after levels ``0..levels-1`` a cell at ``j``
-    with label ``d`` (divisible by ``2^0``) lands at ``j - (d mod
-    2^levels)`` — the telescoped product of the per-level moves, injective
-    by Lemma 5.
-    """
-    n = len(occ)
-    if levels <= 0 or n <= 1:
-        return occ.copy(), lab.copy(), payload.copy()
-    span = 1 << levels
-    idx = np.arange(n, dtype=np.int64)
-    moves = np.where(occ, lab % span, 0)
-    dests = idx - moves
-    if np.any(dests < 0):  # oblint: public(dests) -- collision probe: labels are precomputed collision-free; an abort is an invalid plan or a tag-collision tail event
-        raise ButterflyCollisionError("a label routed a cell past the left edge")
-    new_occ = np.zeros_like(occ)
-    new_lab = np.zeros_like(lab)
-    new_payload = np.full_like(payload, 0)
-    new_payload[..., 0] = NULL_KEY
-    src = idx[occ]
-    dst = dests[occ]
-    counts = np.bincount(dst, minlength=n)
-    if np.any(counts > 1):  # oblint: public(counts) -- collision probe: same invalid-plan / tail event as the edge check above
-        raise ButterflyCollisionError(
-            f"collision in composite routing: slots "
-            f"{np.flatnonzero(counts > 1).tolist()}"
-        )
-    new_occ[dst] = True
-    new_lab[dst] = lab[src] - moves[src]
-    new_payload[dst] = payload[src]
-    return new_occ, new_lab, new_payload
-
-
 # ---------------------------------------------------------------------------
 # External-memory routing
 # ---------------------------------------------------------------------------
@@ -176,16 +136,8 @@ def _route_in_memory(
 #: holds ``(occupied_flag, distance)``.
 
 
-def _make_label_block(B: int, occ: bool, dist: int) -> np.ndarray:
-    block = np.full((B, RECORD_WIDTH), 0, dtype=np.int64)
-    block[:, 0] = NULL_KEY
-    block[0, 0] = 1 if occ else 0
-    block[0, 1] = dist if occ else 0
-    return block
-
-
 def _make_label_blocks(B: int, occ: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_make_label_block`: ``(k, B, 2)`` label blocks."""
+    """The ``(k, B, 2)`` label blocks of ``k`` cells."""
     occ = np.asarray(occ, dtype=bool)
     blocks = empty_blocks(len(occ), B)
     blocks[:, 0, 0] = occ
@@ -193,12 +145,8 @@ def _make_label_blocks(B: int, occ: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _read_label(block: np.ndarray) -> tuple[bool, int]:
-    return bool(block[0, 0] == 1), int(block[0, 1])
-
-
 def _read_labels(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_read_label` over ``(k, B, 2)`` label blocks."""
+    """``(occupied, distance)`` vectors of ``(k, B, 2)`` label blocks."""
     return blocks[:, 0, 0] == 1, blocks[:, 0, 1]
 
 
@@ -250,337 +198,126 @@ def _default_occupied(block: np.ndarray) -> bool:
     return bool(np.any(~is_empty(block)))
 
 
-def _route_em_naive(
-    machine: EMMachine,
-    data: EMArray,
-    labels: EMArray,
-) -> tuple[EMArray, EMArray]:
-    """Simulate the circuit one level at a time (``O(n log n)`` I/Os).
+def _route_em(machine: EMMachine, data: EMArray, labels: EMArray) -> None:
+    """Route every network level in place on ``data`` and ``labels``.
 
-    For each output cell ``j`` of the next level we read both of its
-    fan-in cells (``j`` and ``j + 2^i``), decide in cache which occupies
-    the output, and write it — the fixed read/write pattern of a circuit
-    simulation (the paper's observation that circuit evaluation is
-    trivially data-oblivious).
+    This is Theorem 6's windowing with the residue classes routed where
+    they lie.  Pass ``p`` routes the next ``g`` levels of every residue
+    class mod ``T = 2^(levels already routed)``; class ``r`` holds the
+    positions ``r, r + T, r + 2T, ...``.  Labels keep global distances,
+    so a cell moves ``(d / T) mod 2^g`` slots left within its class.
+    ``g`` is the largest value with ``2·2^g + 2 <= m``, and a pass whose
+    largest class fits in cache routes every remaining level.  Each pass
+    costs exactly ``4n`` I/Os (see :func:`_route_pass`), so the whole
+    route costs ``O(n log_m n)``.
     """
     n = data.num_blocks
-    B = machine.B
-    cur_d, cur_l = data, labels
-
-    def route_chunk(j_idx: np.ndarray, here, far, modulus: int, step: int, level: int):
-        """Vectorized routing decision for output cells ``j_idx``."""
-        blk_here, lab_here = here
-        occ_h, d_h = _read_labels(lab_here)
-        claim_h = occ_h & (d_h % modulus == 0)
-        k = len(j_idx)
-        out_blk = empty_blocks(k, B)
-        out_occ = np.zeros(k, dtype=bool)
-        out_dist = np.zeros(k, dtype=np.int64)
-        out_blk[claim_h] = blk_here[claim_h]
-        out_occ[claim_h] = True
-        out_dist[claim_h] = d_h[claim_h]
-        if far is not None:
-            blk_far, lab_far = far
-            occ_f, d_f = _read_labels(lab_far)
-            claim_f = occ_f & (d_f % modulus == step)
-            both = claim_h & claim_f
-            if np.any(both):
-                raise ButterflyCollisionError(
-                    f"collision at level {level}, output {int(j_idx[np.flatnonzero(both)[0]])}"
-                )
-            out_blk[claim_f] = blk_far[claim_f]
-            out_occ[claim_f] = True
-            out_dist[claim_f] = d_f[claim_f] - step
-        return out_blk, _make_label_blocks(B, out_occ, out_dist)
-
-    for level in range(_num_levels(n)):
-        step = 1 << level
-        modulus = step * 2
-        nxt_d = machine.alloc(n, f"{data.name}.L{level + 1}")
-        nxt_l = machine.alloc(n, f"{data.name}.L{level + 1}.lab")
-        # Output cells with a far fan-in (j + step < n) read four blocks;
-        # the tail reads two.  The scalar order — per-j groups, in j order
-        # — is preserved by the round-robin io_rounds interleave.
-        split = max(0, n - step)
-        for lo, hi in scan_chunks(machine, split, streams=6):
-            with hold_scan(machine, 6, hi - lo):
-                idx = np.arange(lo, hi, dtype=np.int64)
-                out: dict[str, np.ndarray] = {}
-
-                def emit(reads, idx=idx, out=out):
-                    out["d"], out["l"] = route_chunk(
-                        idx, (reads[0], reads[1]), (reads[2], reads[3]),
-                        modulus, step, level,
-                    )
-                    return out["d"]
-
-                machine.io_rounds(
-                    [
-                        ("r", cur_d, (lo, hi)),
-                        ("r", cur_l, (lo, hi)),
-                        ("r", cur_d, (lo + step, hi + step)),
-                        ("r", cur_l, (lo + step, hi + step)),
-                        ("w", nxt_d, (lo, hi), emit),
-                        ("w", nxt_l, (lo, hi), lambda reads, out=out: out["l"]),
-                    ]
-                )
-        for lo, hi in scan_chunks(machine, n - split, streams=4):
-            with hold_scan(machine, 4, hi - lo):
-                idx = np.arange(split + lo, split + hi, dtype=np.int64)
-                out = {}
-
-                def emit_tail(reads, idx=idx, out=out):
-                    out["d"], out["l"] = route_chunk(
-                        idx, (reads[0], reads[1]), None, modulus, step, level
-                    )
-                    return out["d"]
-
-                machine.io_rounds(
-                    [
-                        ("r", cur_d, (split + lo, split + hi)),
-                        ("r", cur_l, (split + lo, split + hi)),
-                        ("w", nxt_d, (split + lo, split + hi), emit_tail),
-                        ("w", nxt_l, (split + lo, split + hi),
-                         lambda reads, out=out: out["l"]),
-                    ]
-                )
-        machine.free(cur_d)
-        machine.free(cur_l)
-        cur_d, cur_l = nxt_d, nxt_l
-    return cur_d, cur_l
-
-
-def _route_em_windowed(
-    machine: EMMachine,
-    data: EMArray,
-    labels: EMArray,
-    *,
-    depth: int = 0,
-) -> tuple[EMArray, EMArray]:
-    """Route all levels using the windowing optimization of Theorem 6.
-
-    Structure (see module docstring): route ``g`` levels in one sliding
-    -window scan, gather the ``2^g`` residue classes mod ``2^g`` (which
-    are independent for all remaining levels), recurse on each class, and
-    scatter back.  I/O cost obeys ``T(n) = O(n) + 2^g T(n / 2^g)`` giving
-    ``O(n log_m n)`` total.
-    """
-    n = data.num_blocks
-    B = machine.B
-    m = machine.cache.capacity_blocks
     levels = _num_levels(n)
-    if levels == 0:
-        return data, labels
+    m = machine.cache.capacity_blocks
+    g = max(1, ilog2(max(1, (m - 2) // 2)))
+    done = 0
+    while done < levels:
+        T = 1 << done
+        size = ceil_div(n, T)
+        step = levels - done if 2 * size + 2 <= m else min(g, levels - done)
+        lag = min(1 << step, size) - 1
+        # The window: lag + 1 slots of cells and labels, plus the pair
+        # being read.  Below m = 6 not even g = 1 fits, so the lease is
+        # clamped to the whole cache.
+        with machine.cache.hold(min(m, 2 * lag + 4)):
+            _route_pass(machine, data, labels, T, 1 << step, lag)
+        done += step
 
-    # Base case: the whole (sub)problem fits in cache — read everything,
-    # route privately, write back.
-    if 2 * n + 2 <= m:
-        with machine.cache.hold(2 * n):
-            payload = machine.read_many(data, (0, n))
-            labs = machine.read_many(labels, (0, n))
-            occ, dist = _read_labels(labs)
-            occ2, dist2, payload2 = _route_in_memory(
-                occ.astype(bool), dist, payload, levels
-            )
-            machine.io_rounds(
-                [
-                    ("w", data, (0, n), payload2),
-                    ("w", labels, (0, n), _make_label_blocks(B, occ2, dist2)),
-                ]
-            )
-        return data, labels
 
-    # Window size: need input chunk (2 * S blocks incl. labels) plus the
-    # 2S-slot output buffer (4 * S blocks incl. labels) in cache.
-    g = max(1, ilog2(max(2, m // 6)))
-    g = min(g, levels)
-    S = 1 << g
+def _route_pass(
+    machine: EMMachine,
+    data: EMArray,
+    labels: EMArray,
+    T: int,
+    span: int,
+    lag: int,
+) -> None:
+    """One lagged scan: route ``log2(span)`` levels of every class mod ``T``.
 
-    out_d = machine.alloc(n, f"{data.name}.w{depth}")
-    out_l = machine.alloc(n, f"{data.name}.w{depth}.lab")
-    # The first g levels compose to the injective map j -> j - (d_j mod S)
-    # (Lemma 5).  The paper's sliding-window scan evaluates it with 2S
-    # buffered cells, flushing the finalized S-slot region after each
-    # window; only the 2S-slot buffer is ever live in private memory.
-    # The engine replays the scan's exact event order — [reads of window
-    # w][flush of window w-1] per round — fusing groups of windows into
-    # strided io_rounds batches.  An S-slot ``carry`` hands the not-yet-
-    # flushable leading region from one group to the next, so physical
-    # staging stays bounded by the group size, never O(n).
-    W = ceil_div(n, S)
-    carry_pay = empty_blocks(S, B)
-    carry_occ = np.zeros(S, dtype=bool)
-    carry_dist = np.zeros(S, dtype=np.int64)
+    The classes are scanned back to back in class-major order.  Round
+    ``u`` reads cell ``u`` (data, then label) and writes slot ``u -
+    lag`` (data, then label).  A slot receives cells only from at most
+    ``lag`` positions to its right in its class, so it is final when
+    written; and every write lands on a position an earlier round read,
+    so the pass is safe in place even inside one ``io_rounds`` call,
+    whose reads see the state before the call.  The rounds run as a
+    head of reads only, a scan-chunked body of reads and writes, and a
+    tail of writes only.  Private staging holds the routed image of the
+    slots read but not yet written: one chunk plus ``lag`` slots.
+    """
+    n = data.num_blocks
+    B = machine.B
+    q, rem = divmod(n, T)  # ``rem`` classes of q + 1 cells, then q-cell ones
+    big = rem * (q + 1)
 
-    def route_into(blk, lab, j0, base, img_pay, img_occ, img_dist) -> None:
-        """Route gathered cells ``[j0, j0 + len)`` into an image buffer
-        covering global positions ``[base, base + len(img_occ))``."""
-        occ, dist = _read_labels(lab)
-        sel = np.flatnonzero(occ)
-        if not len(sel):
-            return
-        d = dist[sel]
-        moves = d % S
-        dests = j0 + sel - moves
-        if np.any(dests < max(0, base)):  # oblint: public(dests) -- collision probe: aborts only on an invalid routing plan or a tag-collision tail event
-            raise ButterflyCollisionError("cell routed before buffer window")
-        dests -= base
-        if np.any(img_occ[dests]) or np.any(  # oblint: public(dests) -- collision probe: aborts only on an invalid routing plan or a tag-collision tail event
-            np.bincount(dests, minlength=len(img_occ))[dests] > 1
-        ):
+    def positions(lo: int, hi: int) -> np.ndarray:
+        """Array positions of scan rounds ``[lo, hi)``."""
+        u = np.arange(lo, hi, dtype=np.int64)
+        small = u >= big
+        size = q + 1 - small
+        v = u - big * small
+        return rem * small + v // size + v % size * T
+
+    # Routed image of the slots read but not yet written.
+    pay = empty_blocks(0, B)
+    occ = np.zeros(0, dtype=bool)
+    dist = np.zeros(0, dtype=np.int64)
+
+    def route(reads: list, src: np.ndarray) -> None:
+        nonlocal pay, occ, dist
+        k = len(src)
+        pay = np.concatenate([pay, empty_blocks(k, B)])
+        occ = np.concatenate([occ, np.zeros(k, dtype=bool)])
+        dist = np.concatenate([dist, np.zeros(k, dtype=np.int64)])
+        cell, d = _read_labels(reads[1])
+        sel = np.flatnonzero(cell)
+        d = d[sel]
+        move = d // T % span
+        if np.any(src[sel] < move * T):  # oblint: public(src) -- collision probe: valid labels never route a cell out of its class; an abort is an invalid plan or a tag-collision tail event
+            raise ButterflyCollisionError("a label routed a cell past the start of its class")
+        dst = len(occ) - k + sel - move
+        if np.any(np.bincount(dst, minlength=len(occ)) + occ > 1):  # oblint: public(dst) -- collision probe: same invalid-plan / tail event as the class-edge check above
             raise ButterflyCollisionError(
-                f"window collision (level group 0..{g - 1})"
+                f"collision routing {span}-slot windows of the classes mod {T}"
             )
-        img_occ[dests] = True
-        img_dist[dests] = d - moves
-        img_pay[dests] = blk[sel]
+        occ[dst] = True
+        dist[dst] = d - move * T
+        pay[dst] = reads[0][sel]
 
-    with machine.cache.hold(min(m, 6 * S)):
-        # Window 0 (its predecessor flush region is empty).  All of its
-        # cells land in [0, S) — the initial carry region.
-        first = min(S, n)
-        blk, lab = machine.io_rounds(
-            [("r", data, (0, first)), ("r", labels, (0, first))]
-        )
-        route_into(blk, lab, 0, 0, carry_pay, carry_occ, carry_dist)
-        # Full windows 1..W-2 in groups of _WINDOW_GROUP rounds.  Round w
-        # reads window w and flushes region [(w-1)S, wS), which by the
-        # window invariant receives no cell from any window > w — so the
-        # group can be routed in one shot before its first flush.
-        group = max(1, 4096 // S)  # windows per batch: bounded staging
-        for wa in range(1, W - 1, group):
-            wb = min(wa + group, W - 1)
-            k = wb - wa
-            base = (wa - 1) * S
-            img_pay = empty_blocks((k + 1) * S, B)
-            img_occ = np.zeros((k + 1) * S, dtype=bool)
-            img_dist = np.zeros((k + 1) * S, dtype=np.int64)
-            img_pay[:S] = carry_pay
-            img_occ[:S] = carry_occ
-            img_dist[:S] = carry_dist
-            steps: list = []
-            for i in range(S):
-                pos = (wa * S + i, wa * S + i + k * S, S)
-                steps.append(("r", data, pos))
-                steps.append(("r", labels, pos))
-            routed: dict[str, bool] = {}
+    def flush(k: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal pay, occ, dist
+        out = pay[:k], _make_label_blocks(B, occ[:k], dist[:k])
+        pay, occ, dist = pay[k:], occ[k:], dist[k:]
+        return out
 
-            def ensure_routed(reads, wa=wa, k=k, base=base,
-                              img_pay=img_pay, img_occ=img_occ,
-                              img_dist=img_dist, routed=routed) -> None:
-                if routed:
-                    return
-                blks = np.stack(
-                    [reads[2 * i] for i in range(S)], axis=1
-                ).reshape(k * S, B, RECORD_WIDTH)
-                labs = np.stack(
-                    [reads[2 * i + 1] for i in range(S)], axis=1
-                ).reshape(k * S, B, RECORD_WIDTH)
-                route_into(blks, labs, wa * S, base, img_pay, img_occ, img_dist)
-                routed["done"] = True
+    body = [(lag + lo, lag + hi) for lo, hi in scan_chunks(machine, n - lag, streams=4)]
+    for lo, hi in [(0, lag), *body, (n, n + lag)]:
+        src = positions(min(lo, n), min(hi, n))
+        dst = positions(max(lo - lag, 0), max(hi - lag, 0))
+        steps: list = []
+        if len(src):
+            steps += [("r", data, src), ("r", labels, src)]
+        if len(dst):
+            flushed: list = []
 
-            def pay_col(i: int, k=k, img_pay=img_pay, ensure=None):
-                def fn(reads):
-                    ensure(reads)
-                    return img_pay[i : i + k * S : S]
-                return fn
+            def write_data(reads, src=src, k=len(dst), flushed=flushed):
+                if len(src):
+                    route(reads, src)
+                flushed.extend(flush(k))
+                return flushed[0]
 
-            def lab_col(i: int, k=k, img_occ=img_occ, img_dist=img_dist,
-                        ensure=None):
-                def fn(reads):
-                    ensure(reads)
-                    sl = slice(i, i + k * S, S)
-                    return _make_label_blocks(B, img_occ[sl], img_dist[sl])
-                return fn
-
-            for i in range(S):
-                fpos = (base + i, base + i + k * S, S)
-                steps.append(("w", out_d, fpos, pay_col(i, ensure=ensure_routed)))
-                steps.append(("w", out_l, fpos, lab_col(i, ensure=ensure_routed)))
-            machine.io_rounds(steps)
-            carry_pay = img_pay[k * S :].copy()
-            carry_occ = img_occ[k * S :].copy()
-            carry_dist = img_dist[k * S :].copy()
-        # Last window (possibly partial): its cells land in the carry
-        # region [(W-2)S, (W-1)S) or beyond, all within the final flush.
-        flo = max(0, (W - 2) * S)
-        fin_pay = empty_blocks(n - flo, B)
-        fin_occ = np.zeros(n - flo, dtype=bool)
-        fin_dist = np.zeros(n - flo, dtype=np.int64)
-        span = min(S, n - flo)
-        fin_pay[:span] = carry_pay[:span]
-        fin_occ[:span] = carry_occ[:span]
-        fin_dist[:span] = carry_dist[:span]
-        if W >= 2:
-            tail_lo = (W - 1) * S
-            blk, lab = machine.io_rounds(
-                [("r", data, (tail_lo, n)), ("r", labels, (tail_lo, n))]
-            )
-            route_into(blk, lab, tail_lo, flo, fin_pay, fin_occ, fin_dist)
-        # Final flush: everything still buffered, [max(0, (W-2)S), n).
-        machine.io_rounds(
-            [
-                ("w", out_d, (flo, n), fin_pay),
-                ("w", out_l, (flo, n),
-                 _make_label_blocks(B, fin_occ, fin_dist)),
+            steps += [
+                ("w", data, dst, write_data),
+                ("w", labels, dst, lambda reads, flushed=flushed: flushed[1]),
             ]
-        )
-    machine.free(data)
-    machine.free(labels)
-
-    if levels <= g:
-        return out_d, out_l
-
-    # Gather residue classes mod S: class r holds global indices r, r+S, ...
-    # Remaining moves are multiples of S, so classes are independent.
-    results: list[tuple[EMArray, EMArray, int]] = []
-    for r in range(S):
-        size = len(range(r, n, S))
-        if size == 0:
-            continue
-        sub_d = machine.alloc(size, f"{data.name}.c{depth}.{r}")
-        sub_l = machine.alloc(size, f"{data.name}.c{depth}.{r}.lab")
-        for lo, hi in scan_chunks(machine, size, streams=4):
-            with hold_scan(machine, 4, hi - lo):
-                j = (r + lo * S, r + hi * S, S)
-
-                def divided(reads):
-                    occ, dist = _read_labels(reads[2])
-                    return _make_label_blocks(B, occ, dist // S)
-
-                machine.io_rounds(
-                    [
-                        ("r", out_d, j),
-                        ("w", sub_d, (lo, hi), lambda reads: reads[0]),
-                        ("r", out_l, j),
-                        ("w", sub_l, (lo, hi), divided),
-                    ]
-                )
-        sub_d, sub_l = _route_em_windowed(machine, sub_d, sub_l, depth=depth + 1)
-        results.append((sub_d, sub_l, r))
-
-    # Scatter back.
-    for sub_d, sub_l, r in results:
-        size = sub_d.num_blocks
-        for lo, hi in scan_chunks(machine, size, streams=4):
-            with hold_scan(machine, 4, hi - lo):
-                j = (r + lo * S, r + hi * S, S)
-
-                def multiplied(reads):
-                    occ, dist = _read_labels(reads[2])
-                    return _make_label_blocks(B, occ, dist * S)
-
-                machine.io_rounds(
-                    [
-                        ("r", sub_d, (lo, hi)),
-                        ("w", out_d, j, lambda reads: reads[0]),
-                        ("r", sub_l, (lo, hi)),
-                        ("w", out_l, j, multiplied),
-                    ]
-                )
-        machine.free(sub_d)
-        machine.free(sub_l)
-    return out_d, out_l
+        reads = machine.io_rounds(steps)
+        if not len(dst):
+            route(reads, src)
 
 
 def butterfly_compact(
@@ -589,9 +326,7 @@ def butterfly_compact(
     *,
     occupied_fn=None,
     occupied_mask=None,
-    windowed: bool | str = "auto",
-    keep_labels: bool = False,
-) -> EMArray | tuple[EMArray, EMArray]:
+) -> EMArray:
     """Tight order-preserving compaction of the blocks of ``A`` (Theorem 6).
 
     Returns a new array of ``A.num_blocks`` blocks in which all occupied
@@ -604,17 +339,15 @@ def butterfly_compact(
     ``occupied_mask`` supplies a per-position boolean mask from the
     client's private knowledge (used by failure sweeping); the mask only
     shapes the encrypted routing labels, never the access pattern.
-    ``windowed`` selects the ``O(n log_m n)``-I/O windowed router;
-    ``False`` selects the per-level circuit simulation (``O(n log n)``
-    I/Os).  The default ``"auto"`` picks the windowed router only when
-    the cache is big enough for it to actually win: each windowed pass
-    costs ~12n I/Os for ``g = log2(m/6)`` levels versus the naive
-    router's ~6n per level, so windowing pays off from ``g >= 3``
-    (``m >= 48`` blocks).
+
+    Cost: one copy scan and one label scan (``2n`` I/Os each), then
+    ``4n`` I/Os per routing pass, each pass routing ``g`` levels with
+    ``g`` the largest value such that ``2·2^g + 2 <= m``, and the last
+    pass every level left once a residue class fits in cache.  The
+    router works in place on the copy and its label array, so the call
+    allocates exactly those two arrays.
     """
     n = A.num_blocks
-    if windowed == "auto":
-        windowed = machine.cache.capacity_blocks >= 48
     occupied_vec = None
     if occupied_mask is not None:
         if occupied_fn is not None:
@@ -632,15 +365,9 @@ def butterfly_compact(
     labels, _ = _write_labels_scan(
         machine, work, occupied_fn, occupied_vec=occupied_vec
     )
-    # Both routers consume (free) their input arrays.
-    if windowed:
-        out_d, out_l = _route_em_windowed(machine, work, labels)
-    else:
-        out_d, out_l = _route_em_naive(machine, work, labels)
-    if keep_labels:
-        return out_d, out_l
-    machine.free(out_l)
-    return out_d
+    _route_em(machine, work, labels)
+    machine.free(labels)
+    return work
 
 
 def butterfly_expand(

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._helpers import hold_scan, scan_chunks
 from repro.core.sorting import oblivious_sort
+from repro.em.batch import hold_scan, scan_chunks
 from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray

