@@ -112,27 +112,36 @@ class TestLevelsTrace:
         assert sum(o for o, _ in trace[-1]) == int(occ.sum())
 
 
+def compactor(windowed):
+    """The library's windowed router, or the per-level circuit
+    simulation kept in ``baselines`` (E3); both must compact alike."""
+    return butterfly_compact if windowed else naive_butterfly_compact
+
+
 class TestEMButterflyCompact:
-    def test_compacts_order_preserving(self):
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_compacts_order_preserving(self, windowed):
         mach = EMMachine(M=16 * 4, B=4)
         layout = [None, [10], None, [20], [30], None, None, [40]]
         arr = load_blocks(mach, layout)
-        out = butterfly_compact(mach, arr)
+        out = compactor(windowed)(mach, arr)
         assert occupied_keys(out) == [10, 20, 30, 40]
         # Tightness: occupied blocks form a prefix.
         occ_mask = [not is_empty(out.raw[j]).all() for j in range(out.num_blocks)]
         assert occ_mask == [True] * 4 + [False] * 4
 
-    def test_all_empty(self):
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_all_empty(self, windowed):
         mach = EMMachine(M=16 * 4, B=4)
         arr = load_blocks(mach, [None] * 8)
-        out = butterfly_compact(mach, arr)
+        out = compactor(windowed)(mach, arr)
         assert occupied_keys(out) == []
 
-    def test_all_full(self):
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_all_full(self, windowed):
         mach = EMMachine(M=16 * 4, B=4)
         arr = load_blocks(mach, [[i] for i in range(8)])
-        out = butterfly_compact(mach, arr)
+        out = compactor(windowed)(mach, arr)
         assert occupied_keys(out) == list(range(8))
 
     def test_non_power_of_two_sizes(self):
