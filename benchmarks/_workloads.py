@@ -1,5 +1,5 @@
 """Shared workload builders and reporting helpers for the benchmark
-harness (experiments E1-E12, see DESIGN.md §4 and EXPERIMENTS.md)."""
+harness (experiments E1-E12)."""
 
 from __future__ import annotations
 

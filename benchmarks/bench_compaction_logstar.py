@@ -2,8 +2,8 @@
 B >= 1 and M >= 2B (no wide-block / tall-cache assumptions).
 
 The tower-of-twos phases only trigger beyond astronomical n with the
-paper's t_1 = 4; the series below uses the scaled tower (t_1 = 2, see
-DESIGN.md) so a phase actually executes, and reports ios / (n log* n).
+paper's t_1 = 4; the series below uses the scaled tower (t_1 = 2) so a
+phase actually executes, and reports ios / (n log* n).
 """
 
 import numpy as np

@@ -52,7 +52,7 @@ def bench_e6_selection_vs_sort(capsys):
             "O((N/B) log_{M/B}) (growing ios/blk); the paper-constant "
             "capacities (8 n^{7/8} bracket) keep selection's absolute cost "
             "above the sort's until n >> 8^8, so the crossover is an "
-            "extrapolation of these two trends — see EXPERIMENTS.md E6",
+            "extrapolation of these two trends",
             ["n", "select_ios", "sort_ios", "sel/blk", "sort/blk", "sort/sel"],
             rows,
         ))

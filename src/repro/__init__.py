@@ -40,8 +40,8 @@ Subpackages
 ``repro.core``
     The paper's algorithms: consolidation (Lemma 3), the four compaction
     algorithms (Theorems 4/6/8/9), selection (Theorems 12/13), quantiles
-    (Theorem 17), shuffle-and-deal, failure sweeping, and the oblivious
-    sort (Theorem 21).
+    (Theorem 17), shuffle-and-deal, the oblivious sort (Theorem 21), and
+    §5's failure sweep as a standalone primitive the sort does not call.
 ``repro.networks``
     Comparator networks (bitonic, odd-even) and the butterfly
     compaction network of Figure 1.

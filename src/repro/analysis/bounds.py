@@ -120,6 +120,12 @@ def _hier_build_ios(n_cells: int, m: int) -> float:
     return 3.0 * n_cells + 2.0 * cap_top + _bsort_pair(cap_top, m)
 
 
+def _select_ios(n: int, m: int) -> float:
+    """Select and quantiles: a linear part plus a Lemma 2 sort of a
+    candidate array of (at every feasible size) n blocks."""
+    return n * (_C_SELECT_LINEAR + _C_SELECT_SORT * _logm(n, m) ** 2)
+
+
 def _rhs(n: int, params: Mapping) -> int:
     """Right-relation size in blocks for the arity-2 bounds (injected by
     the estimate plumbing as ``_rhs_blocks``; defaults to ``n``)."""
@@ -132,18 +138,28 @@ def _union(n: int, params: Mapping) -> int:
 
 
 #: Calibrated leading constants (implementation-measured; the paper gives
-#: only asymptotics).  Measured per-block constants across the reference
-#: shapes (M=64,B=4,n=512 … M=256,B=8,n=2048, dense keys) with the
-#: in-place butterfly router: compact 6.4–8.1, select 66–103, quantiles
-#: 66–105, sort 420–615 (its recursion constant is large and drifts with
-#: how many levels the shape needs — the paper's own constant-factor
-#: caveat).  Compact, select and quantiles sit near the geometric means
-#: (7.3, 78, 80); sort keeps its earlier 550, within 1.03–1.31× of every
-#: shape.  ``tests/test_api_pipeline.py`` pins a documented ×4 envelope.
+#: only asymptotics).  Compact measures 6.4–8.1 I/Os per block·(1 +
+#: log_m n) across the reference shapes (M=64,B=4,n=512 …
+#: M=256,B=8,n=2048, dense keys) and sits near the geometric mean, 7.3.
+#: Sort measures 229–313 per block·log_m n at (M, B, N) = (64, 4, 512),
+#: (64, 4, 2048), (128, 4, 2048), (256, 8, 2048) and (128, 4, 8192)
+#: (geometric mean 267); 270 is within 0.86–1.18× of every shape.  Its
+#: recursion constant drifts with how many levels the shape needs — the
+#: paper's own constant-factor caveat.  ``tests/test_api_pipeline.py``
+#: pins a documented ×4 envelope.
 _C_COMPACT = 7.5
-_C_SELECT = 80.0
-_C_QUANTILES = 80.0
-_C_SORT = 550.0
+_C_SORT = 270.0
+#: Select (Theorem 13) and quantiles (Theorem 17) finish with a Lemma 2
+#: sort of their candidate array, whose capacity is at least n at every
+#: feasible size: select's ``8·n^0.875`` exceeds n below 8^8 items, and
+#: quantiles' ``min(n, 8q·n^0.75)`` is n below (8q)^4 items (65,536 at
+#: q = 2).  So both cost a linear part (scans, the butterfly compaction)
+#: plus a full ``n·log_m² n`` candidate sort, and a plain c·n drifts
+#: from 0.42× to 1.74× of measurement.  Fitted (minimax) on M=64 and 128
+#: at B=4 and M=256 at B=8, 64–8,192 blocks: within 0.92–1.09× of all
+#: twelve shapes for both algorithms.
+_C_SELECT_LINEAR = 24.0
+_C_SELECT_SORT = 17.0
 #: Sparse-IBLT compaction (Theorem 4): the linear insert pass costs
 #: ``13·n`` exactly (one read plus k=3 read-modify-write pairs on two
 #: tables per block, plus 6r-cell table zeroing); the dominating term is
@@ -347,18 +363,19 @@ PAPER_BOUNDS: dict[str, IOBound] = {
     "select": IOBound(
         name="select",
         source="Theorem 13",
-        formula="c·n",
-        # Linear: O(1) scans plus compaction of an O(N/sqrt(N))-size
-        # candidate band.
-        estimate=lambda n, m, params: _C_SELECT * n,
+        formula="c1·n + c2·n·log_m² n",
+        # O(1) scans, a butterfly compaction of the candidate band and a
+        # Lemma 2 sort of it; at every feasible size the band's capacity
+        # is n, so the sort dominates.
+        estimate=lambda n, m, params: _select_ios(n, m),
     ),
     "quantiles": IOBound(
         name="quantiles",
         source="Theorem 17",
-        formula="c·n",
-        # Linear for q <= m^(1/4); the per-quantile refinement touches
-        # only sub-linear candidate bands.
-        estimate=lambda n, m, params: _C_QUANTILES * n,
+        formula="c1·n + c2·n·log_m² n",
+        # Same shape as select: the bracketed items' capacity is n below
+        # (8q)^4 items, so one Lemma 2 sort of n items dominates.
+        estimate=lambda n, m, params: _select_ios(n, m),
     ),
     "sort": IOBound(
         name="sort",

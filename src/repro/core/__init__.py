@@ -1,6 +1,6 @@
 """The paper's core contributions: consolidation, compaction, selection,
-quantiles, shuffle-and-deal, failure sweeping, and the oblivious
-external-memory sort (Theorems 4-21)."""
+quantiles, shuffle-and-deal, and the oblivious external-memory sort
+(Theorems 4-21), plus §5's failure sweep as a standalone primitive."""
 
 from repro.core.block_sort import oblivious_block_sort
 from repro.core.compaction import (

@@ -1,9 +1,9 @@
 """Oblivious sorting of whole blocks by a hidden per-block key.
 
-Several substrates (the square-root ORAM's rebuild, failure sweeping, the
-loose compaction tail) need to sort *blocks* — treating each block as one
-atom — by a key stored *inside* the block (hence hidden from the
-adversary).
+Several substrates (the square-root ORAM's rebuild, the loose compaction
+tail, the standalone failure sweep) need to sort *blocks* — treating
+each block as one atom — by a key stored *inside* the block (hence
+hidden from the adversary).
 
 The construction mirrors the record-level Lemma-2 sort
 (:mod:`repro.core.external_sort`) one level up:

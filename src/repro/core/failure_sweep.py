@@ -24,6 +24,12 @@ the failure mask.  Capacity must be chosen a priori; the paper uses
 
 Record keys must lie in ``[0, 2^40)`` (they are embedded in composite
 sort keys together with segment ids and a dummy marker).
+
+The oblivious sort (:mod:`repro.core.sorting`) does not call this
+module.  Its failure sites raise and the whole attempt retries, so no
+subproblem returns unsorted output and a sweep after each level would
+repair nothing.  The sweep stays here as a standalone, tested §5
+primitive.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ The paper instead pads each bracket to exactly ``8 N^{3/4}`` items and
 runs a per-bracket selection (Theorem 13); because we already know the
 private gap/bracket counts, a single sorted scan recovers every quantile
 without the padding.  The access pattern is unchanged in kind (scan +
-compact + sort + scan) and the I/O bound is the same; see DESIGN.md.
+compact + sort + scan) and the I/O bound is the same.
 """
 
 from __future__ import annotations

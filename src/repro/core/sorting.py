@@ -17,10 +17,16 @@ Pipeline per recursion level (following §5):
 4. **Loose compaction** — shrink each colour array to ``O(N/(qB))``
    blocks (Theorem 8), when that actually shrinks it.
 5. **Recurse** per colour; small subproblems sort inside private memory.
-6. **Failure sweeping** — always executed: check each colour's output
-   privately, butterfly-compact whatever failed into a fixed-size
-   scratch area, fix it with the deterministic sort, and expand back
-   (§5's data-oblivious failure-sweeping technique).
+6. **Concatenation** — the colour results, in colour order.  This is
+   the one deviation from §5, which runs a failure sweep here
+   (Lemma 20) so that a failed subproblem is repaired in place of a
+   retry.  Here every failure site (the quantile caps, the deal's
+   per-colour bound, compaction) raises instead, and the whole attempt
+   retries, so no subproblem can return unsorted output and the sweep
+   would repair nothing.  Per-site failures plus whole-attempt retry
+   replace the sweep; the per-attempt bound is unchanged.  The sweep
+   itself remains a standalone primitive in
+   :mod:`repro.core.failure_sweep`.
 7. **Final tight compaction** — consolidate (Lemma 3) + butterfly
    (Theorem 6) produce the dense sorted output.
 
@@ -45,7 +51,6 @@ from repro.core.compaction import (
 )
 from repro.core.consolidation import consolidate, multiway_consolidate
 from repro.core.external_sort import oblivious_external_sort
-from repro.core.failure_sweep import SweepOverflow, failure_sweep
 from repro.core.quantiles import QuantileFailure, quantiles_em
 from repro.core.shuffle import DealOverflow, shuffle_and_deal
 from repro.em.batch import hold_scan, scan_chunks
@@ -60,12 +65,19 @@ from repro.util.rng import child_rng
 
 __all__ = ["SortFailure", "oblivious_sort", "SortStats"]
 
-_RETRYABLE = (QuantileFailure, DealOverflow, CompactionFailure, SweepOverflow)
+_RETRYABLE = (QuantileFailure, DealOverflow, CompactionFailure)
 
 
 class SortFailure(EMError, LasVegasFailure):
-    """All retries of the randomized sort failed — probability
-    ``(N/B)^{-d}`` per attempt under the paper's analysis."""
+    """All retries of the randomized sort failed.
+
+    The paper bounds an attempt's failure probability by ``(N/B)^{-d}``,
+    but the caps here apply Lemma 14's top-level formula to every small
+    subproblem, so attempts fail far more often: 40 sorts of 2,048
+    distinct keys at ``M=128, B=4`` made 48 attempts, all 8 failures at
+    Lemma 14's sample cap.  Deriving the caps from an explicit failure
+    budget is an open item in ``ROADMAP.md`` ("Make the Theorem 21 sort
+    succeed on its first attempt")."""
 
 
 @dataclass
@@ -73,27 +85,8 @@ class SortStats:
     """Private diagnostics accumulated over one sort attempt."""
 
     levels: int = 0
-    swept_segments: int = 0
     attempts: int = 1
     color_counts: list[list[int]] = field(default_factory=list)
-
-
-def _check_sorted_scan(machine: EMMachine, A: EMArray) -> bool:
-    """Private check: do the non-empty records of ``A`` appear in
-    non-decreasing key order?  Fixed-pattern scan."""
-    prev = None
-    ok = True
-    for lo, hi in scan_chunks(machine, A.num_blocks):
-        with hold_scan(machine, 1, hi - lo):
-            blocks = machine.read_many(A, (lo, hi))
-            keys = blocks[..., 0][~is_empty(blocks)]
-            if len(keys):
-                if np.any(np.diff(keys) < 0):
-                    ok = False
-                if prev is not None and keys[0] < prev:
-                    ok = False
-                prev = int(keys[-1])
-    return ok
 
 
 def _sort_in_cache(machine: EMMachine, A: EMArray) -> EMArray:
@@ -199,22 +192,12 @@ def _sort_padded(
             machine.free(D_c)
         results.append(sorted_c)
 
-    # 6. Failure sweeping — run unconditionally; the mask is private.
-    failed = [not _check_sorted_scan(machine, arr) for arr in results]
-    bounds: list[tuple[int, int]] = []
-    pos = 0
-    for arr in results:
-        bounds.append((pos, pos + arr.num_blocks))
-        pos += arr.num_blocks
+    # 6. Concatenate the colours in order.  Every failure site above
+    # raises and the attempt retries, so no colour returns unsorted.
     concat = concat_arrays(machine, results, f"{A.name}.concat{depth}")
     for arr in results:
         machine.free(arr)
-    max_seg = max(hi - lo for lo, hi in bounds)
-    cap = min(concat.num_blocks, max_seg)
-    stats.swept_segments += sum(failed)
-    swept = failure_sweep(machine, concat, bounds, failed, cap)
-    machine.free(concat)
-    return swept
+    return concat
 
 
 @dataclass

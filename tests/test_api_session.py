@@ -287,7 +287,7 @@ REGISTRY_COSTS = {
     "compact_loose": (1725, 1),
     "compact_sparse": (69752, 1),
     "compact_sparse_hier": (134048, 1),
-    "group_by": (6505, 1),
+    "group_by": (4029, 1),
     "group_by_sorted": (96, 1),
     "mask": (48, 1),
     "merge_sort": (96, 1),
@@ -299,7 +299,7 @@ REGISTRY_COSTS = {
     "select": (1788, 1),
     "select_sorted": (32, 1),
     "shuffle": (96, 1),
-    "sort": (6405, 1),
+    "sort": (3929, 1),
     "sort_then_pick": (354, 1),
 }
 

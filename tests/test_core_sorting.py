@@ -11,11 +11,15 @@ from repro.em import EMMachine, make_records
 from repro.util.rng import make_rng
 
 
-def run_sort(keys, B=4, M=64, seed=0, values=None, stats=None, trace=True):
+def run_sort(
+    keys, B=4, M=64, seed=0, values=None, stats=None, trace=True, retries=3
+):
     mach = EMMachine(M=M, B=B, trace=trace)
     arr = mach.alloc_cells(max(1, len(keys)))
     arr.load_flat(make_records(keys, values=values))
-    out = oblivious_sort(mach, arr, len(keys), make_rng(seed), stats=stats)
+    out = oblivious_sort(
+        mach, arr, len(keys), make_rng(seed), stats=stats, retries=retries
+    )
     return mach, out
 
 
@@ -40,6 +44,24 @@ class TestSortCorrectness:
         assert np.array_equal(out.nonempty()[:, 0], np.arange(n))
         assert stats.levels >= 1
         assert stats.color_counts  # quantile distribution actually happened
+
+    def test_deep_recursion_with_duplicates(self):
+        """Three or more distribution levels, duplicate keys and values:
+        every colour's result is concatenated as returned, so the output
+        is right only if every recursive subproblem sorted correctly."""
+        n = 2048
+        values = np.arange(n)
+        for seed in range(5):
+            keys = np.random.default_rng(seed).integers(0, 50, size=n)
+            stats = SortStats()
+            _, out = run_sort(
+                keys, values=values, seed=seed, stats=stats, retries=10
+            )
+            assert stats.levels >= 3
+            order = np.argsort(keys, kind="stable")
+            real = out.nonempty()
+            assert np.array_equal(real[:, 0], keys[order])
+            assert np.array_equal(real[:, 1], values[order])
 
     def test_adversarial_inputs(self):
         n = 256

@@ -315,8 +315,8 @@ class TestBatchStatistics:
 #: configuration; the batched engine must reproduce them byte for byte.
 GOLDEN = {
     "sort": (
-        61068,
-        "dd10de72751e92d44c5a1119697f8af80c582ed9a00d904d1a6b48914449f781",
+        35931,
+        "7f94ca9c4493de17a35965459108d994145ef428c8a6b8d9f778c2161931b8d7",
     ),
     "select": (
         7422,

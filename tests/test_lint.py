@@ -294,7 +294,7 @@ class TestAnalyzerTeeth:
 
     def test_reachability_crosses_modules(self, repo_report):
         # Spot-check on the real repo: the sort runner's closure spans
-        # many modules (sorting -> failure_sweep -> butterfly ...).
+        # many modules (sorting -> quantiles, compaction -> butterfly ...).
         from repro.api import registry
 
         project = Project()
@@ -305,4 +305,6 @@ class TestAnalyzerTeeth:
         assert info is not None
         mods = {f.module.dotted for f in reachable(project, info)}
         assert any(m.startswith("repro.core.sorting") for m in mods)
-        assert any(m.startswith("repro.core.failure_sweep") for m in mods)
+        assert any(m.startswith("repro.core.quantiles") for m in mods)
+        assert any(m.startswith("repro.networks.butterfly") for m in mods)
+        assert not any(m.startswith("repro.core.failure_sweep") for m in mods)
