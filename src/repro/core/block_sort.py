@@ -25,27 +25,14 @@ aligned): internally every atom drags one side-car key block that is
 filled by ``key_fn`` once at the start; padding atoms carry an explicit
 "pad" flag and sort last.
 
-Run formation and each stage of the network go through the batched
-engine (:meth:`repro.em.machine.EMMachine.io_rounds`) as one call per
-chunk of at most ``_CHUNK_FLOOR`` staged blocks.  Round ``c`` of the
-call is comparator ``c`` (run ``c`` in run formation), and its streams
-are that comparator's scalar events in order — every atom of each run,
-the side-car then each array, read, then the same positions written
-back — so the trace is the per-comparator loop's, event for event.  The
-engine performs all of a call's reads before any of its writes, and that
-still yields the loop's values: the runs of one stage's comparators are
-disjoint (as are the runs of run formation), so no comparator reads what
-another in the same call writes.  The in-cache sort is one stable
-``np.lexsort`` over the call's ``(comparators, atoms)`` key matrix,
-which breaks ties exactly as a per-comparator sort does.
-
-Such a call has ``2 * sides * R * (arrays + 1)`` streams, and the engine
-pays Python time per stream.  A stage with fewer comparators than ``R``
-(few, long runs: a large cache or a short sort) therefore uses the
-per-comparator form instead: one call per run to read it and one to
-write it back, each with rounds over the run's atoms.  Both forms emit
-the same events, so the choice — a function of public sizes only —
-never shows in the trace.
+Run formation and each stage of the network go through
+:func:`repro.core.external_sort.sort_stage`, the stage driver this sort
+shares with the Lemma-2 sort: a stage with at least ``R`` comparators
+(runs, in run formation) is one engine call whose round ``c`` is
+comparator ``c``, a shorter one is one call per run and phase, and both
+emit the per-comparator loop's trace event for event.  The in-cache sort
+is one stable ``np.lexsort`` over the call's ``(comparators, atoms)`` key
+matrix, which breaks ties exactly as a per-comparator sort does.
 """
 
 from __future__ import annotations
@@ -54,7 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.em.batch import _CHUNK_FLOOR, empty_blocks, hold_scan, scan_chunks
+from repro.core.external_sort import sort_stage
+from repro.em.batch import empty_blocks, hold_scan, scan_chunks
 from repro.em.block import RECORD_WIDTH
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
@@ -154,73 +142,24 @@ def oblivious_block_sort(
 
     cols = [keys, *work]  # one atom: its key side-car, then each array
 
-    def sort_stage(sides: list[np.ndarray]) -> None:
-        """Sort in cache the runs of each comparator of one stage.
-
-        Comparator ``c`` covers the runs ``side[c]`` of each side (one
-        side in run formation, two in a merge-split).  Atoms sort stably
-        by (pad flag, key), read from their side-car.
-        """
-        if len(sides[0]) < R:
-            # Each io_rounds stream costs Python time, and the batched form
-            # below has 2 * sides * R * width streams per call: with fewer
-            # comparators than R it loses to one call per run and phase,
-            # whose rounds are the run's atoms.
-            for c in range(len(sides[0])):
-                runs = [(int(s[c]) * R, int(s[c]) * R + R) for s in sides]
-                got = [machine.io_rounds([("r", col, run) for col in cols]) for run in runs]
-                data = [np.concatenate(parts) for parts in zip(*got)]
-                order = np.lexsort((data[0][:, 0, 0], data[0][:, 0, 1]))
-                for k, run in enumerate(runs):
-                    part = order[k * R : (k + 1) * R]
-                    machine.io_rounds(
-                        [("w", col, run, data[t][part]) for t, col in enumerate(cols)]
-                    )
-            return
-        # Otherwise one call takes as many comparators as stage at most
-        # _CHUNK_FLOOR blocks.  Round c of the call is comparator c, and
-        # its streams are that comparator's scalar events in order: each
-        # atom of each side, side-car then arrays, read; then the same
-        # positions written back with the atoms in sorted order.
-        cap = max(1, _CHUNK_FLOOR // (len(sides) * R * width))
-        for lo, hi in scan_chunks(machine, len(sides[0]), cap=cap):
-            positions = [s[lo:hi] * R + i for s in sides for i in range(R)]
-            reads = [("r", col, pos) for pos in positions for col in cols]
-            done: list = []
-
-            def sorted_col(got: list, t: int) -> np.ndarray:
-                """Column ``t`` as a ``(comparators, atoms, B, 2)`` stack
-                whose rows are sorted."""
-                if not done:
-                    stacks = [
-                        np.stack(got[u : len(reads) : width], axis=1)
-                        for u in range(width)
-                    ]
-                    C, A = stacks[0].shape[:2]
-                    order = np.lexsort(
-                        (stacks[0][:, :, 0, 0], stacks[0][:, :, 0, 1]), axis=-1
-                    )
-                    order += np.arange(0, C * A, A)[:, None]
-                    done.extend(x.reshape(C * A, B, RECORD_WIDTH)[order] for x in stacks)
-                return done[t]
-
-            writes = [
-                ("w", col, pos, lambda got, a=a, t=t: sorted_col(got, t)[:, a])
-                for a, pos in enumerate(positions)
-                for t, col in enumerate(cols)
-            ]
-            machine.io_rounds(reads + writes)
+    def sort_atoms(stacks: list[np.ndarray]) -> list[np.ndarray]:
+        """Atoms sort stably by (pad flag, key), read from their side-car."""
+        C, A = stacks[0].shape[:2]
+        order = np.lexsort((stacks[0][:, :, 0, 0], stacks[0][:, :, 0, 1]), axis=-1)
+        if C > 1:
+            order += np.arange(0, C * A, A)[:, None]
+        return [x.reshape(C * A, B, RECORD_WIDTH)[order] for x in stacks]
 
     # Phase 1: sort each run in cache.
     with machine.cache.hold(R * width):
-        sort_stage([np.arange(num_runs, dtype=np.int64)])
+        sort_stage(machine, cols, R, [np.arange(num_runs, dtype=np.int64)], sort_atoms)
 
     # Phase 2: Batcher merge-split over runs.
     if num_runs > 1:
         with machine.cache.hold(2 * R * width):
             for los, his in batcher_pairs(next_pow2(num_runs)):
                 real = his < num_runs  # a virtual all-pad run is a no-op
-                sort_stage([los[real], his[real]])
+                sort_stage(machine, cols, R, [los[real], his[real]], sort_atoms)
 
     # Copy the first n atoms back.
     for lo, hi in scan_chunks(machine, n, streams=2 * T):

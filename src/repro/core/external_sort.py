@@ -21,24 +21,132 @@ Empty cells sort last (as ``+inf``), so sorting doubles as tight
 order-destroying compaction; sorting by unique keys (e.g. original
 positions) makes it order-preserving.
 
-Both phases issue whole-run batched I/O (one gather + one scatter per run
-or comparator side); the emitted trace is the scalar loop's, block by
-block.
+Run formation issues one gather and one scatter per run.  Each stage of
+the network goes through :func:`sort_stage`, the stage driver this sort
+shares with the block sort (:mod:`repro.core.block_sort`): a stage with
+at least ``R`` comparators is one engine call, a shorter one issues one
+gather and one scatter per run.  Either way the emitted trace is the
+scalar loop's, block by block.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
-from repro.em.batch import empty_blocks
+from repro.em.batch import _CHUNK_FLOOR, empty_blocks, scan_chunks
 from repro.em.block import RECORD_WIDTH
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
-from repro.networks.comparator import sort_records
+from repro.networks.comparator import order_keys, sort_records
 from repro.networks.odd_even import batcher_pairs
 from repro.util.mathx import ceil_div, next_pow2
 
-__all__ = ["oblivious_external_sort"]
+__all__ = ["oblivious_external_sort", "sort_stage"]
+
+#: Sorts, in cache, the rows of one stage's atoms: takes one
+#: ``(comparators, atoms, B, 2)`` stack per column and returns the stacks
+#: with each comparator's row in sorted order.
+RowSort = Callable[[list[np.ndarray]], list[np.ndarray]]
+
+
+def sort_stage(
+    machine: EMMachine,
+    cols: Sequence[EMArray],
+    R: int,
+    sides: Sequence[np.ndarray],
+    sort_rows: RowSort,
+) -> None:
+    """Run one stage of a sorting network over runs of ``R`` atoms.
+
+    An atom is the block at one position of every array in ``cols``.
+    Comparator ``c`` covers the run ``side[c]`` of each side (one side in
+    run formation, two in a merge-split): it reads those runs' atoms into
+    cache, reorders them with ``sort_rows`` and writes them back to the
+    same positions.  The caller holds the cache for one comparator.
+
+    A stage with at least ``R`` comparators runs as one engine call per
+    chunk of at most ``_CHUNK_FLOOR`` staged blocks.  Round ``c`` of the
+    call is comparator ``c``, and its streams are that comparator's scalar
+    events in order: every atom of each side, column by column, read;
+    then the same positions written back — so the trace is the
+    per-comparator loop's, event for event.  The engine performs all of a
+    call's reads before any of its writes, and that still yields the
+    loop's values: the runs of one stage's comparators are disjoint, so no
+    comparator reads what another in the same call writes.
+
+    Such a call has ``2 * sides * R * len(cols)`` streams, and the engine
+    pays Python time per stream.  A stage with fewer comparators than
+    ``R`` (few, long runs: a large cache or a short sort) therefore uses
+    the per-comparator form instead: one call per run to read it and one
+    to write it back, each with rounds over the run's atoms (with one
+    column, the engine's single-stream ``read_many`` and ``write_many``).
+    Both forms emit the same events, so the choice — a function of public
+    sizes only — never shows in the trace.
+    """
+    width = len(cols)
+    if len(sides[0]) < R:
+        if width == 1:  # one column: the engine's single-stream entry points
+            (col,) = cols
+
+            def load(run):
+                return [machine.read_many(col, run)]
+
+            def store(run, blocks):
+                machine.write_many(col, run, blocks[0])
+        else:
+
+            def load(run):
+                return machine.io_rounds([("r", col, run) for col in cols])
+
+            def store(run, blocks):
+                machine.io_rounds([("w", col, run, b) for col, b in zip(cols, blocks)])
+
+        for ids in zip(*(s.tolist() for s in sides)):
+            runs = [(i * R, i * R + R) for i in ids]
+            got = [load(run) for run in runs]
+            data = [x[0] for x in sort_rows([np.concatenate(p)[None] for p in zip(*got)])]
+            for k, run in enumerate(runs):
+                store(run, [x[k * R : k * R + R] for x in data])
+        return
+    cap = max(1, _CHUNK_FLOOR // (len(sides) * R * width))
+    for lo, hi in scan_chunks(machine, len(sides[0]), cap=cap):
+        positions = [s[lo:hi] * R + i for s in sides for i in range(R)]
+        reads = [("r", col, pos) for pos in positions for col in cols]
+        done: list = []
+
+        def sorted_col(got: list, t: int) -> np.ndarray:
+            """Column ``t`` as a ``(comparators, atoms, B, 2)`` stack
+            whose rows are sorted."""
+            if not done:
+                done.extend(
+                    sort_rows(
+                        [np.stack(got[u : len(reads) : width], axis=1) for u in range(width)]
+                    )
+                )
+            return done[t]
+
+        writes = [
+            ("w", col, pos, lambda got, a=a, t=t: sorted_col(got, t)[:, a])
+            for a, pos in enumerate(positions)
+            for t, col in enumerate(cols)
+        ]
+        machine.io_rounds(reads + writes)
+
+
+def _sort_record_rows(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Merge-split in cache: each row's records sorted by key, empties
+    last, ties in row order (:func:`sort_records` row by row)."""
+    (blocks,) = stacks
+    C = len(blocks)
+    records = blocks.reshape(C, -1, RECORD_WIDTH)
+    if C == 1:
+        return [sort_records(records[0]).reshape(blocks.shape)]
+    order = np.argsort(order_keys(records), axis=-1, kind="stable")
+    width = records.shape[1]
+    order += np.arange(0, C * width, width)[:, None]
+    return [records.reshape(-1, RECORD_WIDTH)[order].reshape(blocks.shape)]
 
 
 def oblivious_external_sort(
@@ -81,24 +189,10 @@ def oblivious_external_sort(
                 out, (lo, lo + R), records.reshape(R, B, RECORD_WIDTH)
             )
 
-    if num_runs == 1:
-        return out
-
     # Phase 2: Batcher network over runs with oblivious merge-split.
-    size = next_pow2(num_runs)
-    with machine.cache.hold(2 * R):
-        for los, his in batcher_pairs(size):
-            for a, b in zip(los.tolist(), his.tolist()):
-                if b >= num_runs:
-                    continue  # virtual +inf run: comparator is a no-op
-                idx_a = (a * R, a * R + R)
-                idx_b = (b * R, b * R + R)
-                blocks_a = machine.read_many(out, idx_a)
-                blocks_b = machine.read_many(out, idx_b)
-                merged = sort_records(
-                    np.concatenate([blocks_a, blocks_b]).reshape(-1, RECORD_WIDTH)
-                )
-                stacked = merged.reshape(2 * R, B, RECORD_WIDTH)
-                machine.write_many(out, idx_a, stacked[:R])
-                machine.write_many(out, idx_b, stacked[R:])
+    if num_runs > 1:
+        with machine.cache.hold(2 * R):
+            for los, his in batcher_pairs(next_pow2(num_runs)):
+                live = his < num_runs  # a virtual +inf run: no-op comparator
+                sort_stage(machine, [out], R, [los[live], his[live]], _sort_record_rows)
     return out

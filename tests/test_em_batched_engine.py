@@ -330,13 +330,22 @@ GOLDEN = {
         2321,
         "de0e2f2a76b205b870c74a65c33ba558b874d8e54b64283409c284253068c65d",
     ),
+    # A Lemma 2 sort of 512 blocks in 74 runs of 7 (M=64): most of its
+    # merge-split stages have at least 7 comparators and run batched.
+    "sort_then_pick": (
+        23360,
+        "1fcdd365d37676ba5ea9d4c6a857eb0443b1ed89cc415512ace4c08d7cd63cc4",
+    ),
 }
+
+#: Shapes other than the default ``(n, M) = (512, 128)``.
+GOLDEN_SHAPES = {"sort_then_pick": (2048, 64)}
 
 
 class TestGoldenFingerprints:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_trace_identical_to_scalar_engine(self, name):
-        n, M, B = 512, 128, 4
+        (n, M), B = GOLDEN_SHAPES.get(name, (512, 128)), 4
         rng = np.random.default_rng(0)
         keys = rng.permutation(np.arange(n))
         if name == "compact":
@@ -347,7 +356,7 @@ class TestGoldenFingerprints:
             layout[live * B, 0] = live
             layout[live * B, 1] = live * 10
             data, params = layout, {}
-        elif name == "select":
+        elif name in ("select", "sort_then_pick"):
             data, params = keys, {"k": n // 2}
         elif name == "quantiles":
             data, params = keys, {"q": 3}

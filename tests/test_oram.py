@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EMConfig, ObliviousSession
-from repro.core import block_sort
+from repro.core import block_sort, external_sort
 from repro.core.block_sort import oblivious_block_sort
 from repro.em import EMMachine, make_block
 from repro.em.batch import empty_blocks, scan_chunks
@@ -198,7 +198,7 @@ class TestBatchedBlockSortTwin:
             if batched:
                 # A small chunk floor splits long stages into several calls.
                 with mock.patch.object(
-                    block_sort, "_CHUNK_FLOOR", floor or block_sort._CHUNK_FLOOR
+                    external_sort, "_CHUNK_FLOOR", floor or external_sort._CHUNK_FLOOR
                 ):
                     oblivious_block_sort(
                         mach, arrays, key_fn=key_fn, run_blocks=run_blocks
