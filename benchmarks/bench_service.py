@@ -132,7 +132,7 @@ _CONFIG = EMConfig(M=128, B=4, trace=True)
 
 #: Exact figures at chunk 64, seed 0: ``n -> (I/Os of either upload,
 #: streamed round trips, streamed peak upload records)``.
-STREAMING_PINS = {256: (8436, 4, 64), 512: (35931, 8, 64)}
+STREAMING_PINS = {256: (6177, 4, 64), 512: (25582, 8, 64)}
 
 
 def bench_service_streaming(capsys):
@@ -165,5 +165,5 @@ def bench_service_batching(capsys):
             f"{m['batch_solo_rounds']} solo → {m['batch_shared_rounds']} "
             f"shared rounds ({100 * m['batch_reduction']:.1f}% reduction)"
         )
-    assert (m["batch_solo_rounds"], m["batch_shared_rounds"]) == (16692, 4173)
+    assert (m["batch_solo_rounds"], m["batch_shared_rounds"]) == (12804, 3201)
     assert m["batch_reduction"] > 0.5

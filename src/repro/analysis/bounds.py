@@ -18,7 +18,9 @@ and the cache size in blocks ``m = M/B``; the ``params`` dict carries the
 step's call parameters (``q``, ``k``, …) for bounds that depend on them,
 plus ``_r_blocks`` — the public occupied-block capacity ``r`` the
 compaction bounds price (injected by the estimate plumbing; defaults to
-``n`` when absent, i.e. a dense input).
+``n`` when absent, i.e. a dense input) — and ``_n_items``, the input's
+record count ``N`` (select and quantiles branch on it; when absent they
+assume the sizes this library runs at).
 """
 
 from __future__ import annotations
@@ -121,9 +123,90 @@ def _hier_build_ios(n_cells: int, m: int) -> float:
 
 
 def _select_ios(n: int, m: int) -> float:
-    """Select and quantiles: a linear part plus a Lemma 2 sort of a
-    candidate array of (at every feasible size) n blocks."""
+    """Select and quantiles beyond their caps (the sampling path): a
+    linear part plus a Lemma 2 sort of at most n candidate blocks."""
     return n * (_C_SELECT_LINEAR + _C_SELECT_SORT * _logm(n, m) ** 2)
+
+
+def _offsets_below(bound: int, first: int, k: int) -> int:
+    """Points below ``bound`` covered by the intervals ``[first + 2ka,
+    first + 2ka + k)``, ``a = 0, 1, …``."""
+    if bound <= first:
+        return 0
+    whole, rest = divmod(bound - first, 2 * k)
+    return whole * k + min(rest, k)
+
+
+def _merge_split_comparators(runs: int) -> int:
+    """Comparators of Batcher's odd-even mergesort over ``next_pow2(runs)``
+    runs with both ends below ``runs`` — the merge-splits the Lemma 2
+    sort performs (the rest meet a virtual all-empty run and are skipped).
+
+    Counted per round without building the network: round ``(p, k)``
+    compares ``y`` with ``y + k`` for the offsets ``y`` inside each block
+    of ``2p`` runs that lie in ``[k % p + 2ka, k % p + 2ka + k)`` and
+    below ``2p - k``.
+    """
+    total = 0
+    p = 1
+    while p < runs:
+        k = p
+        while k >= 1:
+            blocks, part = divmod(max(0, runs - k), 2 * p)
+            total += blocks * _offsets_below(2 * p - k, k % p, k)
+            total += _offsets_below(min(part, 2 * p - k), k % p, k)
+            k //= 2
+        p *= 2
+    return total
+
+
+def _lemma2_ios(n: int, m: int) -> tuple[int, int]:
+    """Exact ``(block I/Os, output blocks)`` of the Lemma 2 sort of ``n``
+    blocks: run formation reads ``n`` blocks and writes ``runs·R``, and
+    each merge-split reads and writes two runs."""
+    R = max(1, (m - 2) // 2)
+    runs = max(1, -(-n // R))
+    return n + runs * R + 4 * R * _merge_split_comparators(runs), runs * R
+
+
+def _sort_pick_ios(n: int, m: int, params: Mapping, *, scans: int, compacts: bool) -> float:
+    """``scans`` read passes over the input, a Lemma 2 sort of it and one
+    ranked scan of the sorted output — select's and quantiles' direct
+    branch, and sort-then-pick.  With ``compacts``, an input of more than
+    ``r + 2`` blocks is first tightly compacted into its ``r`` occupied
+    blocks, as the direct branch does."""
+    cost = float(scans * n)
+    r = _r_blocks(n, params)
+    if compacts and n > r + 2:
+        cost += _C_COMPACT * n * (1.0 + _logm(n, m))
+        n = r
+    ios, out_blocks = _lemma2_ios(n, m)
+    return cost + ios + out_blocks
+
+
+def _cap_covers(params: Mapping, cap: Callable[[int], float]) -> bool:
+    """Whether a candidate cap covers all ``N`` items (``_n_items``), so
+    the step takes its direct branch.  Without ``N``, assume it does: it
+    does at every size this library runs."""
+    N = params.get("_n_items")
+    return N is None or cap(N) >= N
+
+
+def _select_estimate(n: int, m: int, params: Mapping) -> float:
+    slack = float(params.get("slack", 1.0))
+    if _cap_covers(params, lambda N: 8 * N**0.875 * slack):
+        return _sort_pick_ios(n, m, params, scans=1, compacts=True)
+    return _select_ios(n, m)
+
+
+def _quantiles_estimate(n: int, m: int, params: Mapping) -> float:
+    if n + 1 <= m:
+        return float(n)  # one read into cache
+    q = int(params.get("q", 1))
+    slack = float(params.get("slack", 1.0))
+    if _cap_covers(params, lambda N: min(N, 8 * q * N**0.75) * slack):
+        return _sort_pick_ios(n, m, params, scans=0, compacts=True)
+    return _select_ios(n, m)
 
 
 def _rhs(n: int, params: Mapping) -> int:
@@ -141,23 +224,22 @@ def _union(n: int, params: Mapping) -> int:
 #: only asymptotics).  Compact measures 6.4–8.1 I/Os per block·(1 +
 #: log_m n) across the reference shapes (M=64,B=4,n=512 …
 #: M=256,B=8,n=2048, dense keys) and sits near the geometric mean, 7.3.
-#: Sort measures 229–313 per block·log_m n at (M, B, N) = (64, 4, 512),
+#: Sort measures 159–222 per block·log_m n at (M, B, N) = (64, 4, 512),
 #: (64, 4, 2048), (128, 4, 2048), (256, 8, 2048) and (128, 4, 8192)
-#: (geometric mean 267); 270 is within 0.86–1.18× of every shape.  Its
-#: recursion constant drifts with how many levels the shape needs — the
-#: paper's own constant-factor caveat.  ``tests/test_api_pipeline.py``
+#: (geometric mean 187), now that its pivot step sorts directly at these
+#: sizes; 190 is within 0.86–1.20× of every shape.  Its recursion
+#: constant drifts with how many levels the shape needs — the paper's
+#: own constant-factor caveat.  ``tests/test_api_pipeline.py``
 #: pins a documented ×4 envelope.
 _C_COMPACT = 7.5
-_C_SORT = 270.0
-#: Select (Theorem 13) and quantiles (Theorem 17) finish with a Lemma 2
-#: sort of their candidate array, whose capacity is at least n at every
-#: feasible size: select's ``8·n^0.875`` exceeds n below 8^8 items, and
-#: quantiles' ``min(n, 8q·n^0.75)`` is n below (8q)^4 items (65,536 at
-#: q = 2).  So both cost a linear part (scans, the butterfly compaction)
-#: plus a full ``n·log_m² n`` candidate sort, and a plain c·n drifts
-#: from 0.42× to 1.74× of measurement.  Fitted (minimax) on M=64 and 128
-#: at B=4 and M=256 at B=8, 64–8,192 blocks: within 0.92–1.09× of all
-#: twelve shapes for both algorithms.
+_C_SORT = 190.0
+#: Select (Theorem 13) and quantiles (Theorem 17) beyond their caps: the
+#: PR 22 fit of the sampling path, c1·n + c2·n·log_m² n, made when that
+#: path still ran at every size and sorted all n candidates (0.92–1.09×
+#: of twelve shapes, M=64 and 128 at B=4 and M=256 at B=8, 64–8,192
+#: blocks).  Beyond its cap the path sorts fewer than n candidates, so
+#: this is an upper estimate; below it both algorithms take their direct
+#: branch and are priced exactly by :func:`_sort_pick_ios`.
 _C_SELECT_LINEAR = 24.0
 _C_SELECT_SORT = 17.0
 #: Sparse-IBLT compaction (Theorem 4): the linear insert pass costs
@@ -363,19 +445,33 @@ PAPER_BOUNDS: dict[str, IOBound] = {
     "select": IOBound(
         name="select",
         source="Theorem 13",
-        formula="c1·n + c2·n·log_m² n",
-        # O(1) scans, a butterfly compaction of the candidate band and a
-        # Lemma 2 sort of it; at every feasible size the band's capacity
-        # is n, so the sort dominates.
-        estimate=lambda n, m, params: _select_ios(n, m),
+        formula="n + Lemma 2 sort + ranked scan (direct, N <= 8^8)",
+        # Step 5's candidate cap 8·N^(7/8) covers all N items below 8^8,
+        # so select validates in one scan, compacts a sparse input, sorts
+        # every item with Lemma 2 and reads rank k off; beyond the cap the
+        # sampling path's c1·n + c2·n·log_m² n.
+        estimate=_select_estimate,
     ),
     "quantiles": IOBound(
         name="quantiles",
         source="Theorem 17",
-        formula="c1·n + c2·n·log_m² n",
-        # Same shape as select: the bracketed items' capacity is n below
-        # (8q)^4 items, so one Lemma 2 sort of n items dominates.
-        estimate=lambda n, m, params: _select_ios(n, m),
+        formula="Lemma 2 sort + ranked scan (direct, N <= (8q)^4)",
+        # Step 4's bracket cap 8q·N^(3/4) covers all N items below
+        # (8q)^4 (65,536 at q = 2), so quantiles compacts a sparse input,
+        # sorts every item and reads the q ranks off; an input that fits
+        # in cache is one read; beyond the cap the sampling path's
+        # c1·n + c2·n·log_m² n.
+        estimate=_quantiles_estimate,
+    ),
+    "sort_then_pick": IOBound(
+        name="sort_then_pick",
+        source="Lemma 2 sort + ranked scan (Theorem 13's baseline)",
+        formula="Lemma 2 sort + ranked scan",
+        # Exact: the select direct branch without its validation scan or
+        # compaction.
+        estimate=lambda n, m, params: _sort_pick_ios(
+            n, m, params, scans=0, compacts=False
+        ),
     ),
     "sort": IOBound(
         name="sort",

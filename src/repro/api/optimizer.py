@@ -216,7 +216,12 @@ def optimize_plan(
 
 
 def _model_est(
-    spec: AlgorithmSpec, blocks: int, m: int, params: Mapping, r_blocks: int
+    spec: AlgorithmSpec,
+    blocks: int,
+    m: int,
+    params: Mapping,
+    r_blocks: int,
+    n_items: int,
 ) -> float | None:
     """Estimated I/Os for ``spec`` at this shape, or ``None`` when the
     spec has no model or its bound's feasibility predicate fails."""
@@ -225,6 +230,7 @@ def _model_est(
     bound = PAPER_BOUNDS[spec.cost_model]
     p = dict(params)
     p["_r_blocks"] = r_blocks
+    p["_n_items"] = n_items
     n = max(1, blocks)
     if bound.feasible is not None and not bound.feasible(n, m, p):
         return None
@@ -366,7 +372,7 @@ def _build(
 
     def node_est(node: "PlanNode", spec: AlgorithmSpec) -> float | None:
         n_in, blocks, r = sizes_at(resolve(node.inputs[0]))
-        return _model_est(spec, blocks, m, _est_params(node, n_of, layout_of), r)
+        return _model_est(spec, blocks, m, _est_params(node, n_of, layout_of), r, n_in)
 
     # -- rule 1: drop redundant shuffles (reverse topo, so drops cascade) --
     if optimize:
@@ -604,7 +610,7 @@ def _build(
             n_items=n_in,
             blocks=blocks,
             r_blocks=r,
-            est_ios=_model_est(spec, blocks, m, est_p, r),
+            est_ios=_model_est(spec, blocks, m, est_p, r, n_in),
             rhs_id=id(rhs) if rhs is not None else None,
         ))
 

@@ -807,7 +807,7 @@ register(AlgorithmSpec(
     "selection baseline: oblivious sort, then scan to rank k",
     _run_sort_then_pick,
     output="value",
-    cost_model="sort",
+    cost_model="sort_then_pick",
     permutation_invariant=True,
     variants=("sort_then_pick", "select_sorted"),
 ))

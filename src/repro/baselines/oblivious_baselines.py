@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.external_sort import oblivious_external_sort
-from repro.em.block import RECORD_WIDTH, is_empty
+from repro.core.selection import select_sorted_em
+from repro.em.block import RECORD_WIDTH
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
 from repro.networks.bitonic import bitonic_pairs
@@ -65,16 +66,7 @@ def sort_then_pick(
     if not (1 <= k <= n_items):
         raise ValueError(f"rank k={k} out of range [1, {n_items}]")
     sorted_arr = oblivious_external_sort(machine, A)
-    seen = 0
-    answer = None
-    with machine.cache.hold(1):
-        for j in range(sorted_arr.num_blocks):
-            block = machine.read(sorted_arr, j)
-            for rec in block[~is_empty(block)]:
-                seen += 1
-                if seen == k:
-                    answer = (int(rec[0]), int(rec[1]))
-    machine.free(sorted_arr)
-    if answer is None:
-        raise ValueError(f"array held only {seen} items, wanted rank {k}")
-    return answer
+    try:
+        return select_sorted_em(machine, sorted_arr, n_items, k)
+    finally:
+        machine.free(sorted_arr)

@@ -7,7 +7,7 @@ I/Os, for ``q <= (M/B)^{1/4}`` — the subroutine the oblivious sort
 Algorithm (following the paper, with one simplification):
 
 1. if the array fits in private memory, sort it there and read the
-   quantiles off directly (the paper's ``(M/B) > (N/B)^{1/4}`` case);
+   quantiles off directly;
 2. otherwise sample each item with probability ``N^{-1/4}``, compact and
    sort the sample, and pick bracketing pairs ``[x_i, y_i]`` around every
    quantile's scaled rank (Lemmas 14-16 give the w.h.p. guarantees);
@@ -22,6 +22,18 @@ runs a per-bracket selection (Theorem 13); because we already know the
 private gap/bracket counts, a single sorted scan recovers every quantile
 without the padding.  The access pattern is unchanged in kind (scan +
 compact + sort + scan) and the I/O bound is the same.
+
+Step 4's capacity is ``8 q N^{3/4}`` items (Lemma 15), which is at least
+``N`` whenever ``N <= (8q)^4`` — 65,536 items at ``q = 2``, the pivot
+count at ``M/B = 32``.  There steps 2-3 cannot remove a single item and
+step 4 sorts them all, so :func:`quantiles_em` goes straight to it: it
+compacts a sparse input, sorts every item with Lemma 2 and reads the
+quantiles off at their public ranks (:func:`quantiles_sorted_em`).  The
+sampling path (:func:`_quantiles_sampled`) runs only above that size.
+The direct branch does a subset of the sampling path's work, returns the
+same keys and cannot raise :class:`QuantileFailure`; so below ``(8q)^4``
+records the Theorem 21 sort takes its pivots with no Lemma 14-16 failure
+site.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from repro.core._helpers import ranked_records_scan
 from repro.core.compaction import tight_compact
 from repro.core.consolidation import consolidate
 from repro.core.external_sort import oblivious_external_sort
+from repro.core.selection import compact_and_sort
 from repro.em.batch import hold_scan, scan_chunks
 from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
 from repro.em.errors import EMError
@@ -78,6 +91,12 @@ def _ranked_keys_scan(machine: EMMachine, arr: EMArray, wanted) -> dict[int, int
     return {rank: kv[0] for rank, kv in picked.items()}
 
 
+def _marked_cap(n: int, q: int, slack: float) -> int:
+    """Capacity of step 4's bracketed set (Lemma 15): ``8 q N^{3/4}``,
+    at most ``N``."""
+    return int(math.ceil(min(n, 8 * q * n**0.75) * slack))
+
+
 def quantiles_em(
     machine: EMMachine,
     A: EMArray,
@@ -94,6 +113,13 @@ def quantiles_em(
     ``enforce_model_bound=True`` rejects ``q > (M/B)^{1/4}`` (the paper's
     hypothesis); by default any ``q >= 1`` is accepted — useful on small
     test machines where the fourth root is tiny.
+
+    An ``A`` that fits in cache is sorted there.  Otherwise, when step
+    4's cap covers ``N`` (``N <= (8 q)^4`` at ``slack=1``), every item is
+    sorted directly (:func:`compact_and_sort`) and the quantiles read off
+    at their public ranks; the report's ``sample_size`` is then 0 and
+    ``marked`` is ``N``.  Larger inputs take the sampling path,
+    :func:`_quantiles_sampled`.
     """
     if q < 1:
         raise ValueError(f"need q >= 1 quantiles, got {q}")
@@ -104,11 +130,10 @@ def quantiles_em(
         raise ValueError(
             f"Theorem 17 requires q <= (M/B)^(1/4) = {m ** 0.25:.2f}, got {q}"
         )
-    targets = _target_ranks(n_items, q)
-    n = n_items
 
-    # Case 1: everything fits in private memory — sort there.
+    # Everything fits in private memory — sort there.
     if A.num_blocks + 1 <= m:
+        targets = _target_ranks(n_items, q)
         with machine.cache.hold(A.num_blocks):
             records = machine.read_many(A, (0, A.num_blocks)).reshape(
                 -1, RECORD_WIDTH
@@ -120,7 +145,40 @@ def quantiles_em(
             return QuantileReport(keys, sample_size=0, marked=0)
         return keys
 
-    # Case 2: sample at rate N^(-1/4).
+    if _marked_cap(n_items, q, slack) < n_items:
+        return _quantiles_sampled(machine, A, n_items, q, rng, slack=slack, report=report)
+
+    # The bracket cap covers every item: sort them all.
+    D_sorted = compact_and_sort(machine, A, n_items, rng)
+    try:
+        keys = quantiles_sorted_em(machine, D_sorted, n_items, q)
+    finally:
+        machine.free(D_sorted)
+    if report:
+        return QuantileReport(keys, sample_size=0, marked=n_items)
+    return keys
+
+
+def _quantiles_sampled(
+    machine: EMMachine,
+    A: EMArray,
+    n_items: int,
+    q: int,
+    rng: np.random.Generator,
+    *,
+    slack: float = 1.0,
+    report: bool = False,
+) -> np.ndarray | QuantileReport:
+    """Theorem 17's sampling path, steps 2-4 (see the module docstring).
+
+    :func:`quantiles_em` runs it when ``A`` does not fit in cache and
+    step 4's cap is below ``N``; it is callable at any size, which is how
+    the tests and E7 measure it.
+    """
+    targets = _target_ranks(n_items, q)
+    n = n_items
+
+    # Step 2: sample at rate N^(-1/4).
     p = n**-0.25
     cap_sample = int(math.ceil((n**0.75 + n**0.5) * slack))
     sample_out = machine.alloc(A.num_blocks, f"{A.name}.qsample")
@@ -225,7 +283,7 @@ def quantiles_em(
                 [("r", A, (lo, hi)), ("w", marked, (lo, hi), classified)]
             )
 
-    cap_marked = int(math.ceil(min(n, 8 * q * n**0.75) * slack))
+    cap_marked = _marked_cap(n, q, slack)
     if c_marked > cap_marked:
         machine.free(marked)
         raise QuantileFailure(

@@ -18,10 +18,21 @@ Algorithm (following §4):
 5. compact and sort the marked items; the answer sits at (private) rank
    ``k - |{a < x}|`` of that array, read off by a final scan.
 
+Step 5's capacity is ``8 n^{7/8}``, which is at least ``n`` for every
+``n <= 8^8`` (about 16.8 million items): at every size this library
+runs, steps 1-4 cannot remove a single item and step 5 sorts them all.
+:func:`select_em` therefore goes straight to step 5 whenever the cap
+covers ``n`` — it compacts a sparse input, sorts every item with Lemma 2
+and reads rank ``k`` off at its public position — and runs the sampling
+path (:func:`_select_sampled`) only above that size.  The direct branch
+does a subset of the sampling path's work and returns the same key.
+
 Every step is a scan, a compaction, or an oblivious sort, so the access
 pattern is a fixed function of ``(n, M, B)``.  The probabilistic size
-bounds can fail (Lemmas 10-11); failures are detected privately and raise
-:class:`SelectionFailure` — callers may retry with fresh randomness.
+bounds of the sampling path can fail (Lemmas 10-11); failures are
+detected privately and raise :class:`SelectionFailure` — callers may
+retry with fresh randomness.  The direct branch draws no randomness
+beyond its compactor's and cannot fail this way.
 """
 
 from __future__ import annotations
@@ -83,6 +94,17 @@ def _scan_min_max_count(
     return lo, hi, count
 
 
+def _scan_checked(
+    machine: EMMachine, A: EMArray, n_items: int
+) -> tuple[int, int]:
+    """:func:`_scan_min_max_count`, checked against the caller's public
+    item count; returns the (private) min and max keys."""
+    lo_key, hi_key, count = _scan_min_max_count(machine, A)
+    if count != n_items:  # oblint: public(count) -- validation abort: fires only when the caller's n_items claim is wrong
+        raise ValueError(f"A holds {count} items, caller claimed {n_items}")
+    return lo_key, hi_key
+
+
 def _mark_scan(
     machine: EMMachine,
     A: EMArray,
@@ -139,6 +161,37 @@ def _compact_records(
     return out
 
 
+def compact_and_sort(
+    machine: EMMachine,
+    A: EMArray,
+    n_items: int,
+    rng: np.random.Generator,
+    compactor: str = "butterfly",
+) -> EMArray:
+    """Lemma 2 sort of every record of ``A``, empties last.
+
+    A sparse ``A`` is compacted first (consolidation + tight compaction
+    into ``ceil(n/B) + 1`` blocks), so the sort's log-squared factor is
+    not paid on empty blocks.  It counts as sparse when it has more than
+    ``ceil(n/B) + 3`` blocks, the occupied-block bound that Theorem 21's
+    deal leaves each colour; the sort's recursive inputs are therefore
+    sorted as they are.  Only public sizes decide.  ``A`` is left
+    untouched.
+    """
+    if A.num_blocks <= ceil_div(n_items, machine.B) + 3:
+        return oblivious_external_sort(machine, A)
+    D = _compact_records(machine, A, n_items, rng, compactor)
+    try:
+        return oblivious_external_sort(machine, D)
+    finally:
+        machine.free(D)
+
+
+def _bracket_cap(n: int, slack: float) -> int:
+    """Capacity of step 5's candidate set (Lemma 11): ``8 n^{7/8}``."""
+    return int(math.ceil(8 * n**0.875 * slack))
+
+
 def _sorted_rank_pick(
     machine: EMMachine, arr: EMArray, ranks: list[int]
 ) -> list[tuple[int, int] | None]:
@@ -168,8 +221,47 @@ def select_em(
     capacity bounds — useful at small ``n`` where the paper's asymptotic
     constants are tight.
 
+    When step 5's candidate cap covers ``n`` (``n <= (8 slack)^8``), the
+    sampling cannot shrink the candidate set, so every item is sorted
+    directly (:func:`compact_and_sort`) and rank ``k`` read off; the
+    report's ``sample_size`` is then 0 and ``candidate_size`` is ``n``.
+    Larger inputs take the sampling path, :func:`_select_sampled`.
+
     Returns ``(key, value)`` of the selected record, or a
     :class:`SelectionReport` when ``report=True``.
+    """
+    if not (1 <= k <= n_items):
+        raise ValueError(f"rank k={k} out of range [1, {n_items}]")
+    if _bracket_cap(n_items, slack) < n_items:
+        return _select_sampled(
+            machine, A, n_items, k, rng, compactor=compactor, slack=slack, report=report
+        )
+    _scan_checked(machine, A, n_items)
+    D_sorted = compact_and_sort(machine, A, n_items, rng, compactor)
+    try:
+        key, value = select_sorted_em(machine, D_sorted, n_items, k)
+    finally:
+        machine.free(D_sorted)
+    if report:
+        return SelectionReport(key=key, value=value, sample_size=0, candidate_size=n_items)
+    return key, value
+
+
+def _select_sampled(
+    machine: EMMachine,
+    A: EMArray,
+    n_items: int,
+    k: int,
+    rng: np.random.Generator,
+    *,
+    compactor: str = "butterfly",
+    slack: float = 1.0,
+    report: bool = False,
+) -> tuple[int, int] | SelectionReport:
+    """Theorem 13's sampling path, steps 1-5 (see the module docstring).
+
+    :func:`select_em` runs it when step 5's cap is below ``n``; it is
+    callable at any size, which is how the tests and E6 measure it.
     """
     if not (1 <= k <= n_items):
         raise ValueError(f"rank k={k} out of range [1, {n_items}]")
@@ -177,9 +269,7 @@ def select_em(
     sqrt_n = math.sqrt(n)
 
     # Step 0: global min/max and an item-count sanity check (one scan).
-    lo_key, hi_key, count = _scan_min_max_count(machine, A)
-    if count != n_items:  # oblint: public(count) -- validation abort: fires only when the caller's n_items claim is wrong
-        raise ValueError(f"A holds {count} items, caller claimed {n_items}")
+    lo_key, hi_key = _scan_checked(machine, A, n_items)
 
     # Step 1: Bernoulli(n^-1/2) sampling scan.
     p = 1.0 / sqrt_n
@@ -227,7 +317,7 @@ def select_em(
 
     T, c_t = _mark_scan(machine, A, bracket_fn, f"{A.name}.bracket")
     candidates = c_t
-    cap_bracket = int(math.ceil(8 * n**0.875 * slack))
+    cap_bracket = _bracket_cap(n, slack)
     if c_t > cap_bracket:
         machine.free(T)
         raise SelectionFailure(

@@ -10,6 +10,8 @@ Pipeline per recursion level (following §5):
    defining ``q + 1`` colours with *public* per-colour counts (records
    are made distinct up front by appending their position to the key, so
    colour ``c``'s count is the difference of consecutive pivot ranks).
+   Below ``(8q)^4`` records Theorem 17's bracket cap covers every item,
+   so the pivots come from a Lemma 2 sort of the whole subproblem.
 2. **Multi-way consolidation** — make every block monochromatic.
 3. **Shuffle-and-deal** — Knuth-shuffle the blocks, then deal them to one
    array per colour in fixed-size batches with fixed per-colour padding
@@ -71,13 +73,17 @@ _RETRYABLE = (QuantileFailure, DealOverflow, CompactionFailure)
 class SortFailure(EMError, LasVegasFailure):
     """All retries of the randomized sort failed.
 
-    The paper bounds an attempt's failure probability by ``(N/B)^{-d}``,
-    but the caps here apply Lemma 14's top-level formula to every small
-    subproblem, so attempts fail far more often: 40 sorts of 2,048
-    distinct keys at ``M=128, B=4`` made 48 attempts, all 8 failures at
-    Lemma 14's sample cap.  Deriving the caps from an explicit failure
-    budget is an open item in ``ROADMAP.md`` ("Make the Theorem 21 sort
-    succeed on its first attempt")."""
+    The paper bounds an attempt's failure probability by ``(N/B)^{-d}``.
+    Below ``(8q)^4`` records the pivot step sorts every item directly
+    (:func:`~repro.core.quantiles.quantiles_em`) and has no failure site,
+    so only the deal's per-colour bound and compaction can fail: 40 sorts
+    of 2,048 distinct keys at ``M=128, B=4`` and twelve of 16,384 at
+    ``M=256, B=8`` all succeeded on their first attempt.  Above that
+    size the quantile caps apply Lemma 14's top-level formula to every
+    subproblem, which fails far more often than the paper's bound;
+    deriving them from an explicit failure budget is an open item in
+    ``ROADMAP.md`` ("Make the Theorem 21 sort succeed on its first
+    attempt")."""
 
 
 @dataclass

@@ -14,7 +14,7 @@ fresh session's pipeline executor (optimized or verbatim) and returns
 the full machine-trace fingerprint — every allocation, I/O and free the
 adversary observed, all attempts included.  :func:`workload` fabricates
 per-algorithm inputs whose *public shape* is pinned by this module
-(layout length, occupancy, ``k``/``q``/``slack``) while everything
+(layout length, occupancy, ``k``/``q``) while everything
 private varies with the given generator; :func:`adversarial_inputs` is
 the §1 family of hostile key patterns.  Every ``assert_*`` check raises
 :class:`ObliviousnessViolation` on a leak — an ``AssertionError``, so
@@ -87,7 +87,7 @@ def adversarial_inputs(
 #: truncated attempt window is *legitimate* public leakage — the paper's
 #: algorithms are oblivious per attempt — but it would make bit-equality
 #: across datasets vacuously false, so the shapes keep failure
-#: probabilities negligible; ``slack`` widens the Lemma 10/14 caps).
+#: probabilities negligible).
 _RECORDS_N = 96
 _VALUE_N = 128
 _SPARSE = {
@@ -172,12 +172,8 @@ def workload(
     )
     if name in ("select", "select_sorted", "sort_then_pick"):
         params: dict = {"k": n // 2}
-        if name == "select":
-            params["slack"] = 2.0
     elif name in ("quantiles", "quantiles_sorted"):
         params = {"q": 4}
-        if name == "quantiles":
-            params["slack"] = 2.0
     elif name == "mask":
         params = {"lo": 10**4, "hi": 9 * 10**5}
     elif name == "scale_values":

@@ -287,19 +287,19 @@ REGISTRY_COSTS = {
     "compact_loose": (1725, 1),
     "compact_sparse": (69752, 1),
     "compact_sparse_hier": (134048, 1),
-    "group_by": (4029, 1),
+    "group_by": (3141, 1),
     "group_by_sorted": (96, 1),
     "mask": (48, 1),
     "merge_sort": (96, 1),
     "oram_read_batch": (7566, 1),
     "oram_read_batch_hier": (9700, 1),
-    "quantiles": (2756, 1),
+    "quantiles": (354, 1),
     "quantiles_sorted": (32, 1),
     "scale_values": (48, 1),
-    "select": (1788, 1),
+    "select": (386, 1),
     "select_sorted": (32, 1),
     "shuffle": (96, 1),
-    "sort": (3929, 1),
+    "sort": (3041, 1),
     "sort_then_pick": (354, 1),
 }
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.selection import SelectionFailure, select_em
+from repro.core.selection import SelectionFailure, _select_sampled, select_em
 from repro.em import EMMachine, make_records
+from repro.em.block import NULL_KEY
 from repro.util.rng import make_rng
 
 
@@ -15,15 +16,24 @@ def build(keys, B=4, M=512, values=None):
     return mach, arr
 
 
-def select_with_retry(mach, arr, n, k, seed=0, **kw):
-    """Selection can fail w.s.p. at small n; retry with fresh randomness
-    (each attempt is individually oblivious)."""
+def select_with_retry(mach, arr, n, k, seed=0, fn=select_em, **kw):
+    """The sampling path can fail w.s.p. at small n; retry with fresh
+    randomness (each attempt is individually oblivious)."""
     for attempt in range(6):
         try:
-            return select_em(mach, arr, n, k, make_rng(seed + attempt), **kw)
+            return fn(mach, arr, n, k, make_rng(seed + attempt), **kw)
         except SelectionFailure:
             continue
     raise AssertionError("selection failed 6 times — bounds badly off")
+
+
+def sparse_layout(keys, spread, seed=0):
+    """``keys`` scattered over ``spread`` times as many cells."""
+    cells = np.zeros((len(keys) * spread, 2), dtype=np.int64)
+    cells[:, 0] = NULL_KEY
+    at = np.sort(np.random.default_rng(seed).choice(len(cells), len(keys), replace=False))
+    cells[at, 0] = keys
+    return cells
 
 
 class TestSelectionCorrectness:
@@ -64,10 +74,44 @@ class TestSelectionCorrectness:
     def test_report(self):
         keys = np.arange(1, 101)
         mach, arr = build(keys, M=1024)
-        rep = select_with_retry(mach, arr, 100, 50, report=True)
+        rep = select_with_retry(mach, arr, 100, 50, fn=_select_sampled, report=True)
         assert rep.key == 50
         assert rep.sample_size >= 1
         assert rep.candidate_size >= 1
+
+    def test_report_direct(self):
+        """The public path sorts every item when step 5's cap covers n."""
+        keys = np.arange(1, 101)
+        mach, arr = build(keys, M=1024)
+        rep = select_em(mach, arr, 100, 50, make_rng(0), report=True)
+        assert (rep.key, rep.sample_size, rep.candidate_size) == (50, 0, 100)
+
+    @pytest.mark.parametrize("k", [1, 7, 32, 60, 64])
+    def test_sampling_path_agrees_with_direct(self, k):
+        """Same key from both paths, and the same record when keys are
+        distinct."""
+        rng = np.random.default_rng(42)
+        keys = rng.permutation(np.arange(1, 65))
+        values = rng.integers(0, 1000, 64)
+        mach, arr = build(keys, values=values)
+        direct = select_em(mach, arr, 64, k, make_rng(0))
+        assert direct == select_with_retry(mach, arr, 64, k, fn=_select_sampled)
+        dup = [5] * 30 + [3] * 10 + [9] * 24
+        mach, arr = build(dup)
+        assert (
+            select_em(mach, arr, 64, k, make_rng(0))[0]
+            == select_with_retry(mach, arr, 64, k, fn=_select_sampled)[0]
+        )
+
+    @pytest.mark.parametrize("spread", [1, 3])
+    def test_sparse_input(self, spread):
+        keys = np.random.default_rng(spread).permutation(np.arange(1, 301))
+        mach = EMMachine(M=128, B=4)
+        arr = mach.alloc_cells(300 * spread)
+        arr.load_flat(sparse_layout(keys, spread))
+        for compactor in ("butterfly", "iblt"):
+            key, _ = select_with_retry(mach, arr, 300, 100, compactor=compactor)
+            assert key == 100
 
     def test_validation(self):
         mach, arr = build([1, 2, 3])
@@ -94,7 +138,7 @@ class TestSelectionObliviousness:
 
         def run(keys, seed):
             mach, arr = build(keys)
-            select_em(mach, arr, len(keys), 10, make_rng(seed))
+            _select_sampled(mach, arr, len(keys), 10, make_rng(seed))
             return mach.trace.fingerprint()
 
         n = 64
@@ -118,7 +162,7 @@ class TestSelectionObliviousness:
         def run(k, seed):
             keys = list(range(1, 65))
             mach, arr = build(keys)
-            select_em(mach, arr, 64, k, make_rng(seed))
+            _select_sampled(mach, arr, 64, k, make_rng(seed))
             return mach.trace.fingerprint()
 
         for seed in range(20):
@@ -130,6 +174,23 @@ class TestSelectionObliviousness:
             assert f1 == f2
             return
         raise AssertionError("no common succeeding seed found")
+
+    @pytest.mark.parametrize("spread", [1, 3])
+    def test_public_trace_independent_of_data_and_k(self, spread):
+        """The direct branch: one trace for every dataset, rank and seed
+        of a given layout size."""
+
+        def run(keys, k, seed):
+            mach = EMMachine(M=128, B=4)
+            arr = mach.alloc_cells(len(keys) * spread)
+            arr.load_flat(sparse_layout(keys, spread, seed=len(keys) + k))
+            select_em(mach, arr, len(keys), k, make_rng(seed))
+            return mach.trace.fingerprint()
+
+        n = 200
+        want = run(list(range(1, n + 1)), 10, 0)
+        assert run(list(range(1000, 1000 + n)), 10, 1) == want
+        assert run([7] * n, 190, 2) == want
 
 
 class TestSelectionIOScaling:
@@ -144,7 +205,7 @@ class TestSelectionIOScaling:
             for attempt in range(6):
                 try:
                     with mach.metered() as meter:
-                        select_em(mach, arr, n, n // 2, make_rng(attempt))
+                        _select_sampled(mach, arr, n, n // 2, make_rng(attempt))
                     return meter.total
                 except SelectionFailure:
                     continue
@@ -152,3 +213,40 @@ class TestSelectionIOScaling:
 
         per_item = [ios(n) / n for n in (256, 512, 1024)]
         assert max(per_item) / min(per_item) < 1.8
+
+    @pytest.mark.parametrize("spread", [1, 3, 8])
+    def test_public_costs_no_more_than_sampling(self, spread):
+        """Where step 5's cap covers n, sorting every item directly does a
+        subset of the sampling path's work, dense or sparse."""
+        n = 4096
+        keys = np.random.default_rng(spread).permutation(np.arange(1, n + 1))
+
+        def ios(fn):
+            mach = EMMachine(M=128, B=4, trace=False)
+            arr = mach.alloc_cells(n * spread)
+            arr.load_flat(sparse_layout(keys, spread))
+            for attempt in range(6):
+                try:
+                    with mach.metered() as meter:
+                        key, _ = fn(mach, arr, n, n // 2, make_rng(attempt))
+                    assert key == n // 2
+                    return meter.total
+                except SelectionFailure:
+                    continue
+            raise AssertionError("selection kept failing")
+
+        assert ios(select_em) <= ios(_select_sampled)
+
+    def test_direct_branch_never_fails(self):
+        """The direct branch has no Lemma 10-11 failure site: 50 seeds, no
+        retry."""
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(40, 200))
+            keys = rng.integers(0, 50, n)
+            mach = EMMachine(M=64, B=4, trace=False)
+            arr = mach.alloc_cells(2 * n)
+            arr.load_flat(sparse_layout(keys, 2, seed=seed))
+            k = int(rng.integers(1, n + 1))
+            key, _ = select_em(mach, arr, n, k, make_rng(seed))
+            assert key == int(np.sort(keys)[k - 1])

@@ -314,17 +314,19 @@ class TestBatchStatistics:
 #: Fingerprints of the adversary-visible transcripts at this exact
 #: configuration; the batched engine must reproduce them byte for byte.
 GOLDEN = {
+    # select and quantiles (and the sort's pivot step) sort every item
+    # directly at n=512, where their candidate caps cover n.
     "sort": (
-        35931,
-        "7f94ca9c4493de17a35965459108d994145ef428c8a6b8d9f778c2161931b8d7",
+        25582,
+        "372821ec5127b334ed1b16c1c4e37ee245fb5976b30a00ce1ee619d257de55d1",
     ),
     "select": (
-        7422,
-        "151a51bc337ce25709a89a538cb0b8045c8deaccb092be74468f306172eb3817",
+        2206,
+        "43d82161623214127f758b9b0aa5cf2980fe57b17e66e1585f24b62ae5251d30",
     ),
     "quantiles": (
-        7606,
-        "e3e74a6c915c80363d13ada96ac92322ef18ad36f1fb721653bfa9c7e1e06f41",
+        2078,
+        "6adfad0fc66fea04ab4076209e15cae0708131d5f1c846fe4b4dad0ac4f1745e",
     ),
     "compact": (
         2321,
