@@ -233,10 +233,10 @@ def _union(n: int, params: Mapping) -> int:
 #: pins a documented ×4 envelope.
 _C_COMPACT = 7.5
 _C_SORT = 190.0
-#: Select (Theorem 13) and quantiles (Theorem 17) beyond their caps: the
-#: PR 22 fit of the sampling path, c1·n + c2·n·log_m² n, made when that
-#: path still ran at every size and sorted all n candidates (0.92–1.09×
-#: of twelve shapes, M=64 and 128 at B=4 and M=256 at B=8, 64–8,192
+#: Select (Theorem 13) and quantiles (Theorem 17) beyond their caps: a
+#: fit of the sampling path, c1·n + c2·n·log_m² n, made when that path
+#: still ran at every size and sorted all n candidates (0.92–1.09× of
+#: twelve shapes, M=64 and 128 at B=4 and M=256 at B=8, 64–8,192
 #: blocks).  Beyond its cap the path sorts fewer than n candidates, so
 #: this is an upper estimate; below it both algorithms take their direct
 #: branch and are priced exactly by :func:`_sort_pick_ios`.

@@ -26,7 +26,7 @@ filled by ``key_fn`` once at the start; padding atoms carry an explicit
 "pad" flag and sort last.
 
 Run formation and each stage of the network go through
-:func:`repro.core.external_sort.sort_stage`, the stage driver this sort
+:func:`repro.core.external_sort.sort_stage`, the stage runner this sort
 shares with the Lemma-2 sort: a stage with at least ``R`` comparators
 (runs, in run formation) is one engine call whose round ``c`` is
 comparator ``c``, a shorter one is one call per run and phase, and both
@@ -146,8 +146,7 @@ def oblivious_block_sort(
         """Atoms sort stably by (pad flag, key), read from their side-car."""
         C, A = stacks[0].shape[:2]
         order = np.lexsort((stacks[0][:, :, 0, 0], stacks[0][:, :, 0, 1]), axis=-1)
-        if C > 1:
-            order += np.arange(0, C * A, A)[:, None]
+        order += np.arange(0, C * A, A)[:, None]
         return [x.reshape(C * A, B, RECORD_WIDTH)[order] for x in stacks]
 
     # Phase 1: sort each run in cache.

@@ -22,7 +22,7 @@ order-destroying compaction; sorting by unique keys (e.g. original
 positions) makes it order-preserving.
 
 Run formation issues one gather and one scatter per run.  Each stage of
-the network goes through :func:`sort_stage`, the stage driver this sort
+the network goes through :func:`sort_stage`, the stage runner this sort
 shares with the block sort (:mod:`repro.core.block_sort`): a stage with
 at least ``R`` comparators is one engine call, a shorter one issues one
 gather and one scatter per run.  Either way the emitted trace is the
@@ -141,7 +141,7 @@ def _sort_record_rows(stacks: list[np.ndarray]) -> list[np.ndarray]:
     (blocks,) = stacks
     C = len(blocks)
     records = blocks.reshape(C, -1, RECORD_WIDTH)
-    if C == 1:
+    if C == 1:  # the per-comparator form: skip the row offsets
         return [sort_records(records[0]).reshape(blocks.shape)]
     order = np.argsort(order_keys(records), axis=-1, kind="stable")
     width = records.shape[1]
