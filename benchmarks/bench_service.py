@@ -165,5 +165,5 @@ def bench_service_batching(capsys):
             f"{m['batch_solo_rounds']} solo → {m['batch_shared_rounds']} "
             f"shared rounds ({100 * m['batch_reduction']:.1f}% reduction)"
         )
-    assert (m["batch_solo_rounds"], m["batch_shared_rounds"]) == (12804, 3201)
+    assert (m["batch_solo_rounds"], m["batch_shared_rounds"]) == (8512, 2128)
     assert m["batch_reduction"] > 0.5

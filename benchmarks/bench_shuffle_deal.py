@@ -71,7 +71,7 @@ def bench_e12_deal_never_overflows(capsys):
             arr.raw[j] = make_block([j % 4], B=4)
         try:
             shuffle_and_deal(
-                mach, arr, 4, lambda blk: int(blk[0, 0]), make_rng(seed)
+                mach, arr, 4, lambda blks: blks[:, 0, 0], make_rng(seed)
             )
         except DealOverflow:
             failures += 1
@@ -89,7 +89,7 @@ def bench_e12_wall_time(benchmark):
 
     def run():
         return shuffle_and_deal(
-            mach, arr, 4, lambda blk: int(blk[0, 0]), make_rng(7)
+            mach, arr, 4, lambda blks: blks[:, 0, 0], make_rng(7)
         )
 
     benchmark.pedantic(run, rounds=2, iterations=1)

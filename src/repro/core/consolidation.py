@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.em.batch import empty_blocks, hold_scan, scan_chunks
+from repro.em.batch import _CHUNK_FLOOR, empty_blocks, hold_scan, round_chunks, scan_chunks
 from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
@@ -42,6 +42,11 @@ def _empty_block(B: int) -> np.ndarray:
     blk = np.full((B, RECORD_WIDTH), 0, dtype=np.int64)
     blk[:, 0] = NULL_KEY
     return blk
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each group starts when groups of ``counts`` lie end to end."""
+    return np.cumsum(counts) - counts
 
 
 def _pack_block(records: np.ndarray, B: int) -> np.ndarray:
@@ -162,6 +167,18 @@ def multiway_consolidate(
     blocks.  The access pattern is a fixed function of the array length
     and ``num_colors``.
 
+    In cache, each colour's records queue in arrival order; after a
+    round's records join their queues, the round emits full blocks
+    greedily in colour order, at most ``num_colors`` of them.  The rounds
+    run as one engine call per chunk, with two wide streams: round ``u``
+    reads its input blocks and writes its ``num_colors`` output blocks
+    (the last round, partial when ``num_colors`` does not divide the
+    array, is a narrower call of its own).  The greedy schedule of a whole
+    chunk is one running minimum: if ``Q_c(u)`` counts the full blocks of
+    colours ``0..c`` that have arrived by round ``u`` and ``G_c(u)`` those
+    emitted, greedy emission gives ``G_c(u) = min(G_c(u-1) + num_colors,
+    Q_c(u))``.
+
     Needs private memory for about ``3 * num_colors`` blocks.
     """
     if num_colors < 1:
@@ -170,69 +187,86 @@ def multiway_consolidate(
     B = machine.B
     rounds = -(-n // num_colors) if n else 0
     out = machine.alloc(rounds * num_colors + 2 * num_colors, f"{A.name}.colors")
-    buffers: list[list[np.ndarray]] = [[] for _ in range(num_colors)]
-    buffered = np.zeros(num_colors, dtype=np.int64)
-    color_counts = np.zeros(num_colors, dtype=np.int64)
-    write_pos = 0
-
-    def drain(c: int, take: int) -> np.ndarray:
-        """Pop the first ``take`` buffered records of colour ``c``."""
-        got: list[np.ndarray] = []
-        need = take
-        while need:
-            head = buffers[c][0]
-            if len(head) <= need:
-                got.append(buffers[c].pop(0))
-                need -= len(head)
-            else:
-                got.append(head[:need])
-                buffers[c][0] = head[need:]
-                need = 0
-        buffered[c] -= take
-        return np.concatenate(got) if len(got) > 1 else got[0]
+    color_counts = np.zeros(num_colors, dtype=np.int64)  # records arrived
+    sent = np.zeros(num_colors, dtype=np.int64)  # full blocks emitted
+    # The queues: every queued record, colour by colour, each colour's in
+    # arrival order.
+    queue = np.empty((0, RECORD_WIDTH), dtype=np.int64)
+    queue_colors = np.empty(0, dtype=np.int64)
+    chunks = round_chunks(
+        machine, rounds, num_colors, n, cap=max(1, _CHUNK_FLOOR // (2 * num_colors))
+    )
 
     with machine.cache.hold(min(machine.cache.capacity_blocks, 3 * num_colors + 1)):
-        for rnd in range(rounds):
-            lo = rnd * num_colors
-            hi = min(lo + num_colors, n)
-            blocks = machine.read_many(A, (lo, hi))
-            flat = blocks.reshape(-1, RECORD_WIDTH)
-            real = flat[~is_empty(flat)]
-            if len(real):  # oblint: public(len(real)) -- guards only in-cache bucketing and a contract abort; every round still writes exactly num_colors blocks
-                colors = np.asarray(color_fn(real), dtype=np.int64)
-                if np.any((colors < 0) | (colors >= num_colors)):  # oblint: public(colors) -- validation abort: fires only when color_fn violates its declared range
+        for lo, hi, width in chunks:
+            k = hi - lo
+
+            def emitted(got: list, k: int = k) -> np.ndarray:
+                nonlocal queue, queue_colors, color_counts, sent
+                records = got[0].reshape(k, -1, RECORD_WIDTH)
+                real = ~is_empty(records)
+                colors = np.asarray(color_fn(records[real]), dtype=np.int64)
+                if np.any((colors < 0) | (colors >= num_colors)):  # only when color_fn breaks its range contract
                     raise ValueError("color_fn produced an out-of-range colour")
-                for c in range(num_colors):
-                    sel = real[colors == c]
-                    if len(sel):
-                        buffers[c].append(sel)
-                        buffered[c] += len(sel)
-                        color_counts[c] += len(sel)
-            # Emit exactly num_colors blocks: full monochromatic ones first.
-            emit = empty_blocks(num_colors, B)
-            emitted = 0
-            for c in range(num_colors):
-                while emitted < num_colors and buffered[c] >= B:
-                    emit[emitted, :B] = drain(c, B)
-                    emitted += 1
-            machine.write_many(out, (write_pos, write_pos + num_colors), emit)
-            write_pos += num_colors
-        # Final flush: exactly 2 * num_colors blocks, as full as possible.
-        flush = empty_blocks(2 * num_colors, B)
-        emitted = 0
-        for c in range(num_colors):
-            while buffered[c] > 0:
-                take = int(min(B, buffered[c]))
-                if emitted < 2 * num_colors:
-                    flush[emitted, :take] = drain(c, take)
-                else:
-                    drain(c, take)
-                emitted += 1
-        if emitted > 2 * num_colors:  # oblint: public(emitted) -- flush-accounting invariant: fires only on an internal bug, never on well-formed runs
+                arrived = np.bincount(
+                    np.nonzero(real)[0] * num_colors + colors, minlength=k * num_colors
+                ).reshape(k, num_colors)
+                # Q and G of the docstring, then each colour's blocks
+                # emitted through round u and in round u.
+                Q = np.cumsum((color_counts + np.cumsum(arrived, axis=0)) // B, axis=1)
+                step = np.arange(k)[:, None] * num_colors
+                G = np.minimum(
+                    np.cumsum(sent) + step + num_colors,
+                    np.minimum.accumulate(Q - step, axis=0) + step,
+                )
+                through = np.diff(G, axis=1, prepend=0)
+                per_round = np.diff(through, axis=0, prepend=sent[None])
+                # Colour c's queue is its queued records, then this
+                # chunk's; its j-th block this chunk is queue records
+                # [j*B, (j+1)*B).  Emitted blocks fill each round's slots
+                # in (colour, j) order.
+                labels = np.concatenate([queue_colors, colors])
+                order = np.argsort(labels, kind="stable")
+                labels = labels[order]
+                queued = np.concatenate([queue, records[real]])[order]
+                head = _starts(np.bincount(labels, minlength=num_colors))
+                per = per_round.ravel()
+                rank = np.arange(per.sum()) - np.repeat(_starts(per), per)
+                j = np.repeat((through - per_round - sent).ravel(), per) + rank
+                color = np.repeat(np.tile(np.arange(num_colors), k), per)
+                in_round = per_round.sum(axis=1)
+                slot = np.repeat(np.arange(k) * num_colors - _starts(in_round), in_round)
+                out_blocks = empty_blocks(k * num_colors, B)
+                out_blocks[slot + np.arange(len(slot))] = queued[
+                    (head[color] + j * B)[:, None] + np.arange(B)
+                ]
+                # What the chunk did not emit stays queued.
+                rest = np.arange(len(labels)) - head[labels] >= B * (through[-1] - sent)[labels]
+                queue, queue_colors = queued[rest], labels[rest]
+                color_counts = color_counts + arrived.sum(axis=0)
+                sent = through[-1]
+                return out_blocks.reshape(k, num_colors, B, RECORD_WIDTH)
+
+            reads = np.arange(lo * num_colors, lo * num_colors + k * width, dtype=np.int64)
+            writes = np.arange(lo * num_colors, hi * num_colors, dtype=np.int64)
+            machine.io_rounds(
+                [
+                    ("r", A, reads.reshape(k, width)),
+                    ("w", out, writes.reshape(k, num_colors), emitted),
+                ]
+            )
+        # Final flush: each colour's queue in blocks of B (its last block
+        # may be partial), into exactly 2 * num_colors blocks.
+        left = np.bincount(queue_colors, minlength=num_colors)
+        blocks_of = -(-left // B)
+        if blocks_of.sum() > 2 * num_colors:  # oblint: public(blocks_of) -- flush-accounting invariant: fires only on an internal bug, never on well-formed runs
             raise AssertionError(
                 "multiway consolidation flush invariant violated "
-                f"({emitted} > {2 * num_colors} blocks)"
+                f"({int(blocks_of.sum())} > {2 * num_colors} blocks)"
             )
-        machine.write_many(out, (write_pos, write_pos + 2 * num_colors), flush)
-        write_pos += 2 * num_colors
+        at = np.arange(len(queue_colors)) - _starts(left)[queue_colors]
+        flush = empty_blocks(2 * num_colors, B)
+        flush[_starts(blocks_of)[queue_colors] + at // B, at % B] = queue
+        base = rounds * num_colors
+        machine.write_many(out, (base, base + 2 * num_colors), flush)
     return MultiwayConsolidationResult(out, color_counts)

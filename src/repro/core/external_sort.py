@@ -21,12 +21,15 @@ Empty cells sort last (as ``+inf``), so sorting doubles as tight
 order-destroying compaction; sorting by unique keys (e.g. original
 positions) makes it order-preserving.
 
-Run formation issues one gather and one scatter per run.  Each stage of
+Run formation is one engine call per chunk of runs, with two wide
+streams: round ``c`` reads the blocks of run ``c`` that the input holds
+and writes run ``c`` of the output (the last run, partial when ``R``
+does not divide the input, is a narrower call of its own).  Each stage of
 the network goes through :func:`sort_stage`, the stage runner this sort
-shares with the block sort (:mod:`repro.core.block_sort`): a stage with
-at least ``R`` comparators is one engine call, a shorter one issues one
-gather and one scatter per run.  Either way the emitted trace is the
-scalar loop's, block by block.
+shares with the block sort (:mod:`repro.core.block_sort`); with this
+sort's one array, a stage is one call per chunk whose round ``c`` reads
+and rewrites comparator ``c``'s two runs.  Either way the emitted trace
+is the scalar loop's, block by block.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.em.batch import _CHUNK_FLOOR, empty_blocks, scan_chunks
+from repro.em.batch import _CHUNK_FLOOR, empty_blocks, round_chunks, scan_chunks
 from repro.em.block import RECORD_WIDTH
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
@@ -66,42 +69,45 @@ def sort_stage(
     cache, reorders them with ``sort_rows`` and writes them back to the
     same positions.  The caller holds the cache for one comparator.
 
-    A stage with at least ``R`` comparators runs as one engine call per
-    chunk of at most ``_CHUNK_FLOOR`` staged blocks.  Round ``c`` of the
-    call is comparator ``c``, and its streams are that comparator's scalar
-    events in order: every atom of each side, column by column, read;
-    then the same positions written back — so the trace is the
-    per-comparator loop's, event for event.  The engine performs all of a
-    call's reads before any of its writes, and that still yields the
-    loop's values: the runs of one stage's comparators are disjoint, so no
-    comparator reads what another in the same call writes.
+    Each form below is one engine call per chunk of at most
+    ``_CHUNK_FLOOR`` staged blocks, whose round ``c`` is comparator ``c``
+    and emits that comparator's scalar events in order.  The engine
+    performs all of a call's reads before any of its writes, and that
+    still yields the per-comparator loop's values: the runs of one
+    stage's comparators are disjoint, so no comparator reads what another
+    in the same call writes.
 
+    With one column, the call is two wide streams: round ``c`` reads the
+    ``R`` blocks of run ``side[c]`` of each side in turn, then writes the
+    same blocks back in the same order.  With several columns the loop
+    interleaves them atom by atom, which one wide stream per column
+    cannot express, so every (side, atom, column) is a stream of its own.
     Such a call has ``2 * sides * R * len(cols)`` streams, and the engine
-    pays Python time per stream.  A stage with fewer comparators than
-    ``R`` (few, long runs: a large cache or a short sort) therefore uses
-    the per-comparator form instead: one call per run to read it and one
-    to write it back, each with rounds over the run's atoms (with one
-    column, the engine's single-stream ``read_many`` and ``write_many``).
-    Both forms emit the same events, so the choice — a function of public
+    pays Python time per stream, so a stage with fewer comparators than
+    ``R`` (few, long runs) instead issues one call per run to read it and
+    one to write it back, each with rounds over the run's atoms.  Every
+    form emits the same events, so the choice — a function of public
     sizes only — never shows in the trace.
     """
     width = len(cols)
+    if width == 1:
+        (col,) = cols
+        atoms = np.arange(R, dtype=np.int64)
+        cap = max(1, _CHUNK_FLOOR // (len(sides) * R))
+        for lo, hi in scan_chunks(machine, len(sides[0]), cap=cap):
+            runs = np.stack([s[lo:hi] for s in sides], axis=1)
+            pos = (runs[:, :, None] * R + atoms).reshape(hi - lo, -1)
+            machine.io_rounds(
+                [("r", col, pos), ("w", col, pos, lambda got: sort_rows([got[0]])[0])]
+            )
+        return
     if len(sides[0]) < R:
-        if width == 1:  # one column: the engine's single-stream entry points
-            (col,) = cols
 
-            def load(run):
-                return [machine.read_many(col, run)]
+        def load(run):
+            return machine.io_rounds([("r", col, run) for col in cols])
 
-            def store(run, blocks):
-                machine.write_many(col, run, blocks[0])
-        else:
-
-            def load(run):
-                return machine.io_rounds([("r", col, run) for col in cols])
-
-            def store(run, blocks):
-                machine.io_rounds([("w", col, run, b) for col, b in zip(cols, blocks)])
+        def store(run, blocks):
+            machine.io_rounds([("w", col, run, b) for col, b in zip(cols, blocks)])
 
         for ids in zip(*(s.tolist() for s in sides)):
             runs = [(i * R, i * R + R) for i in ids]
@@ -141,7 +147,7 @@ def _sort_record_rows(stacks: list[np.ndarray]) -> list[np.ndarray]:
     (blocks,) = stacks
     C = len(blocks)
     records = blocks.reshape(C, -1, RECORD_WIDTH)
-    if C == 1:  # the per-comparator form: skip the row offsets
+    if C == 1:  # one comparator: skip the row offsets
         return [sort_records(records[0]).reshape(blocks.shape)]
     order = np.argsort(order_keys(records), axis=-1, kind="stable")
     width = records.shape[1]
@@ -176,18 +182,21 @@ def oblivious_external_sort(
     num_runs = max(1, ceil_div(n, R))
     out = machine.alloc(num_runs * R, f"{A.name}.sorted")
 
-    # Phase 1: form sorted runs (copying A into the padded output).
+    # Phase 1: form sorted runs (copying A into the padded output).  Round
+    # c reads the blocks of run c that A holds and writes run c of the
+    # output; the last run, partial when R does not divide n, is a
+    # narrower call of its own.
+    chunks = round_chunks(machine, num_runs, R, n, cap=max(1, _CHUNK_FLOOR // (2 * R)))
     with machine.cache.hold(R):
-        for run in range(num_runs):
-            lo = run * R
-            real = max(0, min(R, n - lo))
-            stacked = empty_blocks(R, B)
-            if real:
-                stacked[:real] = machine.read_many(A, (lo, lo + real))
-            records = sort_records(stacked.reshape(-1, RECORD_WIDTH))
-            machine.write_many(
-                out, (lo, lo + R), records.reshape(R, B, RECORD_WIDTH)
-            )
+        for lo, hi, real in chunks:
+            runs = np.arange(lo * R, hi * R, dtype=np.int64).reshape(hi - lo, R)
+
+            def formed(got: list, k: int = hi - lo, real: int = real) -> np.ndarray:
+                stacked = empty_blocks(k * R, B).reshape(k, R, B, RECORD_WIDTH)
+                stacked[:, :real] = got[0]
+                return _sort_record_rows([stacked])[0]
+
+            machine.io_rounds([("r", A, runs[:, :real]), ("w", out, runs, formed)])
 
     # Phase 2: Batcher network over runs with oblivious merge-split.
     if num_runs > 1:

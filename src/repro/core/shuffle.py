@@ -17,11 +17,12 @@ style randomization:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.core._helpers import empty_block
-from repro.em.batch import blocks_occupied, hold_scan, scan_chunks
+from repro.em.batch import _CHUNK_FLOOR, blocks_occupied, empty_blocks, hold_scan, round_chunks, scan_chunks
+from repro.em.block import RECORD_WIDTH
 from repro.em.errors import EMError
 from repro.errors import LasVegasFailure
 from repro.em.machine import EMMachine
@@ -29,6 +30,11 @@ from repro.em.storage import EMArray
 from repro.util.mathx import ceil_div
 
 __all__ = ["knuth_block_shuffle", "shuffle_and_deal", "DealResult", "DealOverflow"]
+
+
+#: In-cache colour assignment for the deal: a ``(k, B, 2)`` stack of
+#: occupied blocks -> their ``k`` int colours in ``[0, num_colors)``.
+ColorsFn = Callable[[np.ndarray], np.ndarray]
 
 
 class DealOverflow(EMError, LasVegasFailure):
@@ -76,7 +82,7 @@ def shuffle_and_deal(
     machine: EMMachine,
     A: EMArray,
     num_colors: int,
-    color_of_block,
+    colors_of_blocks: ColorsFn,
     rng: np.random.Generator,
     *,
     batch_blocks: int | None = None,
@@ -85,8 +91,9 @@ def shuffle_and_deal(
 ) -> DealResult:
     """Shuffle ``A``'s blocks, then deal them into one array per colour.
 
-    ``color_of_block(block) -> int`` is evaluated in cache on occupied
-    blocks.  ``batch_blocks`` defaults to ``floor((M/B)^{3/4})`` and
+    ``colors_of_blocks(blocks) -> colours`` is evaluated in cache on a
+    ``(k, B, 2)`` stack of occupied blocks and returns their ``k``
+    colours.  ``batch_blocks`` defaults to ``floor((M/B)^{3/4})`` and
     ``per_color_slots`` to ``mu + deal_factor * sqrt(mu) + 2`` where
     ``mu = batch / num_colors`` is the per-batch per-colour expectation —
     the paper's ``c (M/B)^{1/2}`` bound (Lemma 18) with the additive
@@ -95,9 +102,14 @@ def shuffle_and_deal(
     the binomial Hoeffding argument the paper uses).
 
     Every batch writes exactly ``per_color_slots`` blocks to every colour
-    array — full blocks first, empty padding after — so the write pattern
-    is a fixed function of the sizes.  A colour exceeding its slots raises
-    :class:`DealOverflow` (Lemma 18's tail event).
+    array — its blocks of that colour in batch order, empty padding after
+    — so the write pattern is a fixed function of the sizes.  A colour
+    exceeding its slots raises :class:`DealOverflow` (Lemma 18's tail
+    event).  The batches run as one engine call per chunk, with one wide
+    stream for the input and one per colour array: round ``u`` reads
+    batch ``u`` and writes its slots of every colour array.  The last
+    batch, partial when ``batch_blocks`` does not divide the array, is a
+    narrower call of its own.
     """
     if num_colors < 1:
         raise ValueError(f"need at least one colour, got {num_colors}")
@@ -120,30 +132,52 @@ def shuffle_and_deal(
         for c in range(num_colors)
     ]
     occupied = np.zeros(num_colors, dtype=np.int64)
-    pad = empty_block(B)
+    cap = max(1, _CHUNK_FLOOR // (batch_blocks + num_colors * per_color_slots))
+    chunks = round_chunks(machine, num_batches, batch_blocks, n, cap=cap)
     with machine.cache.hold(min(m, batch_blocks + 2)):
-        for batch in range(num_batches):
-            lo = batch * batch_blocks
-            hi = min(lo + batch_blocks, n)
-            blocks = machine.read_many(A, (lo, hi))
-            occ = blocks_occupied(blocks)
-            groups: list[list[np.ndarray]] = [[] for _ in range(num_colors)]
-            for block in blocks[occ]:  # oblint: public(blocks) -- in-cache partition of one public-size batch; the only effect is the colour-contract abort
-                c = int(color_of_block(block))
-                if not (0 <= c < num_colors):  # oblint: public(c) -- colour validation: aborts only when color_of_block violates its range contract
-                    raise ValueError(f"colour {c} out of range")
-                groups[c].append(block)
-            base = batch * per_color_slots
-            slot_idx = (base, base + per_color_slots)
-            for c in range(num_colors):
-                if len(groups[c]) > per_color_slots:
+        for lo, hi, width in chunks:
+            k = hi - lo
+            dealt: list[np.ndarray] = []
+
+            def deal(got: list, c: int, lo: int = lo, k: int = k) -> np.ndarray:
+                """Colour ``c``'s ``(k, per_color_slots, B, 2)`` share of the
+                chunk."""
+                nonlocal occupied
+                if dealt:
+                    return dealt[0][c]
+                flat = got[0].reshape(-1, B, RECORD_WIDTH)
+                occ = np.flatnonzero(blocks_occupied(flat))
+                colors = np.asarray(colors_of_blocks(flat[occ]), dtype=np.int64)
+                bad = (colors < 0) | (colors >= num_colors)
+                if bad.any():  # only when colors_of_blocks breaks its range contract
+                    raise ValueError(f"colour {int(colors[bad][0])} out of range")
+                group = occ // got[0].shape[1] * num_colors + colors  # (batch, colour)
+                counts = np.bincount(group, minlength=k * num_colors)
+                over = np.flatnonzero(counts > per_color_slots)
+                if len(over):  # Lemma 18's tail event: the attempt retries
+                    u, c_over = divmod(int(over[0]), num_colors)
                     raise DealOverflow(
-                        f"batch {batch} holds {len(groups[c])} blocks of "
-                        f"colour {c} > {per_color_slots} slots (Lemma 18 tail)"
+                        f"batch {lo + u} holds {int(counts[over[0]])} blocks of "
+                        f"colour {c_over} > {per_color_slots} slots (Lemma 18 tail)"
                     )
-                stacked = np.stack(
-                    groups[c] + [pad] * (per_color_slots - len(groups[c]))
+                order = np.argsort(group, kind="stable")
+                group = group[order]
+                rank = np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
+                share = empty_blocks(num_colors * k * per_color_slots, B).reshape(
+                    num_colors, k, per_color_slots, B, RECORD_WIDTH
                 )
-                machine.write_many(arrays[c], slot_idx, stacked)
-                occupied[c] += len(groups[c])
+                share[group % num_colors, group // num_colors, rank] = flat[occ[order]]
+                occupied = occupied + counts.reshape(k, num_colors).sum(axis=0)
+                dealt.append(share)
+                return share[c]
+
+            reads = np.arange(lo * batch_blocks, hi * batch_blocks, dtype=np.int64)
+            writes = np.arange(lo * per_color_slots, hi * per_color_slots, dtype=np.int64)
+            machine.io_rounds(
+                [("r", A, reads.reshape(k, batch_blocks)[:, :width])]
+                + [
+                    ("w", arrays[c], writes.reshape(k, per_color_slots), lambda got, c=c: deal(got, c))
+                    for c in range(num_colors)
+                ]
+            )
     return DealResult(arrays=arrays, occupied=occupied)

@@ -151,15 +151,15 @@ def _sort_padded(
     mc = multiway_consolidate(machine, A, colors, color_of_records)
 
     # 3. Shuffle-and-deal.
-    def color_of_block(block: np.ndarray) -> int:
-        real = block[~is_empty(block)]
-        return int(np.searchsorted(pivots, int(real[0, 0]), side="right"))
+    def colors_of_blocks(blocks: np.ndarray) -> np.ndarray:
+        first = np.argmax(~is_empty(blocks), axis=1)  # each block's first real record
+        return np.searchsorted(pivots, blocks[np.arange(len(blocks)), first, 0], side="right")
 
     deal = shuffle_and_deal(
         machine,
         mc.array,
         colors,
-        color_of_block,
+        colors_of_blocks,
         child_rng(rng, 1000 + depth),
         deal_factor=8.0,
     )

@@ -4,7 +4,8 @@ These are the chunking and block-stack utilities every batched scan uses:
 :func:`scan_chunks` splits a scan into chunks, :func:`hold_scan` leases
 the *modeled* residency (capped at the cache budget) from the client
 cache, and :func:`empty_blocks` / :func:`blocks_occupied` are the
-vectorized forms of the per-block primitives.  Chunks have a large
+vectorized forms of the per-block primitives; :func:`round_chunks` splits
+a scan of rounds that each read a run of blocks.  Chunks have a large
 floor (``_CHUNK_FLOOR``) — the engine may stage more blocks physically
 than the model's ``M/B``, exactly as the historical ``read_range`` did;
 the cache lease records what the *algorithm* claims to hold.  They live
@@ -21,7 +22,7 @@ import numpy as np
 from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
 from repro.em.machine import EMMachine
 
-__all__ = ["empty_blocks", "blocks_occupied", "scan_chunks", "hold_scan"]
+__all__ = ["empty_blocks", "blocks_occupied", "scan_chunks", "round_chunks", "hold_scan"]
 
 
 #: Template cache for :func:`empty_blocks` — a memcpy of a prebuilt
@@ -76,6 +77,26 @@ def scan_chunks(
         chunk = max(1, min(chunk, cap))
     for lo in range(0, total, chunk):
         yield lo, min(lo + chunk, total)
+
+
+def round_chunks(
+    machine: EMMachine, rounds: int, width: int, total: int, *, cap: int
+) -> list[tuple[int, int, int]]:
+    """Chunks ``(lo, hi, w)`` of a scan whose round ``u`` reads blocks
+    ``[u * width, min((u + 1) * width, total))``: rounds ``[lo, hi)`` each
+    read ``w`` blocks.
+
+    ``rounds`` is ``ceil(total / width)``, or 1 for a scan that still
+    writes a round when there is nothing to read.  Full rounds come in
+    chunks of at most ``cap``; the last round, when it reads fewer than
+    ``width`` blocks, is a chunk of its own — so every chunk is one engine
+    call whose wide streams each have one width.
+    """
+    full = min(rounds, total // width)
+    chunks = [(lo, hi, width) for lo, hi in scan_chunks(machine, full, cap=cap)]
+    if full < rounds:
+        chunks.append((full, rounds, total - full * width))
+    return chunks
 
 
 def hold_scan(machine: EMMachine, streams: int, rounds: int):

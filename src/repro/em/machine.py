@@ -24,7 +24,8 @@ would have produced:
   shuffle, events ``R i, R j, W i, W j`` per pair;
 * :meth:`io_rounds` — the general form: ``t`` parallel I/O streams
   interleaved round-robin, exactly the trace of a scalar loop running one
-  operation per stream per iteration.
+  operation (or, for a wide stream, one run of operations) per stream per
+  iteration.
 
 Because the trace and the counters are identical to the scalar
 formulation, obliviousness arguments transfer verbatim.  The *modeled*
@@ -53,7 +54,10 @@ from repro.em.trace import AccessTrace, Op
 __all__ = ["EMMachine", "IOMeter", "IOStep"]
 
 #: One stream of a fused :meth:`EMMachine.io_rounds` batch: ``("r", arr,
-#: indices)`` or ``("w", arr, indices, blocks_or_fn)``.
+#: indices)`` or ``("w", arr, indices, blocks_or_fn)``.  ``indices`` is a
+#: ``(lo, hi[, step])`` range or a 1-D index array (one block per round),
+#: or a ``(k, w)`` index matrix (a wide stream: a run of ``w`` blocks per
+#: round).
 IOStep = tuple
 
 _OP_READ = int(Op.READ)
@@ -538,20 +542,26 @@ class EMMachine:
         """Run ``t`` parallel I/O streams interleaved round-robin.
 
         ``steps`` is a sequence of ``("r", arr, indices)`` read streams
-        and ``("w", arr, indices, blocks)`` write streams whose index
-        arrays (1-D int64, or contiguous ``(lo, hi)`` tuples) all share
-        one length ``k``.  The emitted events are::
+        and ``("w", arr, indices, blocks)`` write streams whose indices
+        all share one round count ``k``.  A stream's indices are a 1-D
+        int64 array or a ``(lo, hi[, step])`` range (one block per
+        round), or a ``(k, w)`` int64 matrix: a *wide* stream, whose round
+        ``u`` covers the ``w`` blocks ``idx[u, 0], ..., idx[u, w-1]`` in
+        that order (each wide stream has its own ``w``, which may be 0).
+        The emitted events are::
 
             step0[0], step1[0], ..., stepT[0], step0[1], step1[1], ...
 
-        — exactly the trace of the scalar loop ``for j in range(k): <one
-        op per stream>``, which is how every rewritten hot loop proves its
-        transcript unchanged.
+        with a wide stream's ``step[u]`` standing for its ``w`` events —
+        exactly the trace of the scalar loop ``for u in range(k): <one op,
+        or one run of ops, per stream>``, which is how every rewritten hot
+        loop proves its transcript unchanged.
 
-        A write stream's ``blocks`` may be a ``(k, B, 2)`` array or a
-        callable ``fn(reads) -> (k, B, 2)`` invoked after all gathers,
-        where ``reads`` is this function's return value (entries are the
-        gathered blocks for read streams, ``None`` for write streams).
+        A write stream's ``blocks`` may be an array — ``(k, B, 2)``, or
+        ``(k, w, B, 2)`` for a wide stream — or a callable ``fn(reads)``
+        returning one, invoked after all gathers, where ``reads`` is this
+        function's return value (entries are the gathered blocks for read
+        streams, in the same shapes, and ``None`` for write streams).
         All reads observe the machine state *before* the call; a caller
         whose later rounds depend on earlier rounds' writes must
         compensate in the payload callable (see ``thinning_pass``) or
@@ -559,14 +569,16 @@ class EMMachine:
 
         Writes land in the scalar loop's order.  When several streams
         write one array, the engine builds every payload first and then
-        applies each array's streams together, round by round and stream
-        by stream within a round, so contents (last write wins) and
-        ciphertext versions match the loop even when the streams
-        interleave or overlap: one index matrix, one scatter and one
-        re-encryption per array, or one slice write when that order is a
-        contiguous range (``S`` range streams of stride ``S`` starting at
-        ``lo, lo + 1, ..., lo + S - 1``).  Streams that each write their
-        own array are written one after another.
+        applies each array's streams together — round by round, stream by
+        stream within a round and column by column within a wide stream —
+        so contents (last write wins) and ciphertext versions match the
+        loop even when the streams interleave or overlap: one index
+        matrix, one scatter and one re-encryption per array, or one slice
+        write when that order is a contiguous range (``S`` range streams
+        of stride ``S`` starting at ``lo, lo + 1, ..., lo + S - 1``).
+        Streams that each write their own array are written one after
+        another.  A call with a wide stream gathers each stream with one
+        fancy index and builds every payload before the first write.
 
         If a payload callable raises, the whole batch is abandoned —
         nothing is counted or traced.  Error transcripts therefore are
@@ -580,6 +592,7 @@ class EMMachine:
             return []
         k = -1
         all_ranges = True
+        wide = False
         parsed: list[list] = []
         writers: list[int] = []
         for step in steps:
@@ -597,7 +610,13 @@ class EMMachine:
                 else:
                     kk = len(range(lo, hi, st)) if hi > lo else 0
             else:
-                idx = self._as_indices(indices)
+                idx = np.asarray(indices, dtype=np.int64)
+                if idx.ndim != 1:
+                    if idx.ndim != 2:
+                        raise ValueError(
+                            f"indices must be 1-D or (k, w), got shape {idx.shape}"
+                        )
+                    wide = True
                 lo = hi = 0
                 st = 1
                 kk = len(idx)
@@ -616,6 +635,8 @@ class EMMachine:
             parsed.append([kind, arr, lo, hi, st, idx, payload])
         if k == 0:
             return [None for _ in parsed]
+        if wide:
+            return self._wide_rounds(parsed, k)
 
         results: list[np.ndarray | None] = []
         n_reads = n_writes = 0
@@ -776,6 +797,70 @@ class EMMachine:
             for s, ((_, _, lo, hi, st, sidx, _), _) in enumerate(group):
                 idx[:, s] = sidx if sidx is not None else np.arange(lo, hi, st)
             arr._scatter(idx.reshape(-1), blocks)
+
+    def _wide_rounds(self, parsed: list, k: int) -> list[np.ndarray | None]:
+        """:meth:`io_rounds` for a call with a ``(k, w)`` stream.
+
+        Every stream becomes a ``(k, w)`` index matrix (a 1-D stream is
+        one column) and is gathered with one fancy index.  Every payload
+        is built before the first write; then each array's write streams
+        are laid side by side — round, then stream, then column, the
+        scalar loop's order — for one scatter and one re-encryption per
+        array.  The trace rows of the whole call are built at once.
+        """
+        mats: list[np.ndarray] = []
+        results: list[np.ndarray | None] = []
+        n_reads = 0
+        for kind, arr, lo, hi, st, idx, _ in parsed:
+            if idx is None:
+                mat = np.arange(lo, hi, st)[:, None]
+            else:
+                mat = idx if idx.ndim == 2 else idx[:, None]
+            mats.append(mat)
+            if kind == "w":
+                results.append(None)
+                continue
+            n_reads += mat.size
+            if idx is None:
+                results.append(arr._gather_range(lo, hi, st))
+            else:
+                got = arr._gather(mat.reshape(-1))
+                results.append(got.reshape(idx.shape + got.shape[1:]))
+        writes: dict[int, list] = {}
+        for (kind, arr, _, _, _, idx, payload), mat in zip(parsed, mats):
+            if kind != "w":
+                continue
+            blocks = np.asarray(
+                payload(results) if callable(payload) else payload, dtype=np.int64
+            )
+            shape = ((k,) if idx is None else idx.shape) + (arr.B, RECORD_WIDTH)
+            if blocks.shape != shape:
+                raise ValueError(f"blocks shape {blocks.shape} does not match {shape}")
+            writes.setdefault(arr.array_id, [arr]).append(
+                (mat, blocks.reshape(*mat.shape, arr.B, RECORD_WIDTH))
+            )
+        for arr, *streams in writes.values():
+            mat, blocks = streams[0] if len(streams) == 1 else (
+                np.concatenate([s[0] for s in streams], axis=1),
+                np.concatenate([s[1] for s in streams], axis=1),
+            )
+            arr._scatter(mat.reshape(-1), blocks.reshape(-1, arr.B, RECORD_WIDTH))
+        n_events = sum(mat.size for mat in mats)
+        self.reads += n_reads
+        self.writes += n_events - n_reads
+        self._count_batch(n_events)
+        self._notify_io(k, len(parsed))
+        if self.trace.enabled and n_events:
+            rows = np.empty((k, n_events // k, 3), dtype=np.int64)
+            at = 0
+            for p, mat in zip(parsed, mats):
+                w = mat.shape[1]
+                rows[:, at : at + w, 0] = _OP_READ if p[0] == "r" else _OP_WRITE
+                rows[:, at : at + w, 1] = p[1].array_id
+                rows[:, at : at + w, 2] = mat
+                at += w
+            self.trace.append_rows(rows.reshape(-1, 3))
+        return results
 
     def _count_batch(self, ios: int) -> None:
         if ios > 0:

@@ -20,9 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EMConfig, ObliviousSession
+from repro.core.external_sort import oblivious_external_sort
+from repro.core.sorting import oblivious_sort
+from repro.em import make_records
 from repro.em.block import NULL_KEY
 from repro.em.machine import EMMachine
 from repro.em.storage import MemmapBackend, MemoryBackend
+from repro.util.rng import make_rng
 
 
 def _machines(tmp_path=None, n_blocks=12, M=64, B=4, backend="memory"):
@@ -205,6 +209,74 @@ class TestBatchedScalarEquivalence:
                 m2.write(a2, 8 + j, blk - 1)
         _assert_twins(m1, m2, (a1, b1), (a2, b2))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=4),
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(["r", "w_a", "w_b"]),
+                st.sampled_from(["range", "index", "wide"]),
+                st.integers(min_value=0, max_value=3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        data=st.data(),
+    )
+    def test_io_rounds_wide_streams_match_scalar_loop(self, k, specs, data):
+        """Mixed 1-D and ``(k, w)`` streams: round ``u`` runs each
+        stream's ops in order, a wide stream's ``w`` blocks left to right.
+        Reads cover blocks 0-5 of ``a``; writes hit blocks 6-11 of ``a``
+        or any block of ``b``, so several wide streams write one array
+        with overlapping targets.  ``lazy`` passes a payload callable."""
+        (m1, m2), ((a1, b1), (a2, b2)) = _machines()
+        steps, plan = [], []
+        for s, (kind, form, w, lazy) in enumerate(specs):
+            lo, hi = (0, 6) if kind != "w_b" else (0, 12)
+            if kind == "w_a":
+                lo, hi = 6, 12
+            if form == "wide":
+                idx = np.asarray(
+                    data.draw(st.lists(st.integers(lo, hi - 1), min_size=k * w, max_size=k * w)),
+                    dtype=np.int64,
+                ).reshape(k, w)
+            elif form == "index":
+                idx = np.asarray(
+                    data.draw(st.lists(st.integers(lo, hi - 1), min_size=k, max_size=k)),
+                    dtype=np.int64,
+                )
+            else:
+                start = data.draw(st.integers(lo, hi - k))
+                idx = (start, start + k)
+            targets = np.arange(*idx) if type(idx) is tuple else idx
+            targets = targets if targets.ndim == 2 else targets[:, None]
+            arr1, arr2 = (a1, a2) if kind != "w_b" else (b1, b2)
+            if kind == "r":
+                steps.append(("r", arr1, idx))
+                plan.append(("r", arr2, targets, None))
+                continue
+            payload = 1000 * (s + 1) + np.arange(targets.size * 8, dtype=np.int64)
+            payload = payload.reshape(*targets.shape, 4, 2)
+            if form != "wide":
+                payload = payload[:, 0]
+            steps.append(("w", arr1, idx, (lambda reads, p=payload: p) if lazy else payload))
+            plan.append(("w", arr2, targets, payload.reshape(*targets.shape, 4, 2)))
+        got = m1.io_rounds(steps)
+        want = [[] for _ in plan]
+        for u in range(k):
+            for s, (kind, arr, targets, payload) in enumerate(plan):
+                for j, pos in enumerate(targets[u].tolist()):
+                    if kind == "r":
+                        want[s].append(m2.read(arr, pos))
+                    else:
+                        m2.write(arr, pos, payload[u, j])
+        _assert_twins(m1, m2, (a1, b1), (a2, b2))
+        for step, g, w in zip(steps, got, want):
+            if step[0] == "r" and k:
+                shape = (k, *np.shape(step[2])[1:], 4, 2)
+                assert np.array_equal(g, np.asarray(w).reshape(shape))
+
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(min_value=1, max_value=4), step=st.integers(min_value=1, max_value=3))
     def test_strided_ranges_match_explicit_indices(self, k, step):
@@ -309,6 +381,40 @@ class TestBatchStatistics:
         assert meter.batches == 1
         assert meter.batched_ios == 8
         assert meter.mean_batch_size == 8.0
+
+
+#: Engine calls (``metered().batches``) of whole algorithms on a bare
+#: machine, bounded at their counts when run formation, the merge-split
+#: stages, the multiway consolidation and the deal each became one call
+#: per chunk.  A per-run, per-round or per-batch loop of engine calls
+#: reintroduced on these paths multiplies them (176, 806 and 3,460
+#: before).  Rows: (algorithm, M, B, input blocks, budget).
+CALL_BUDGETS = [
+    ("lemma2", 64, 4, 512, 30),
+    ("lemma2", 128, 4, 5462, 80),
+    ("sort", 128, 4, 512, 674),
+]
+
+
+class TestEngineCallBudgets:
+    @pytest.mark.parametrize(
+        "algorithm, M, B, n_blocks, budget",
+        CALL_BUDGETS,
+        ids=[f"{row[0]}-{row[3]}-blocks-M{row[1]}" for row in CALL_BUDGETS],
+    )
+    def test_engine_calls_within_budget(self, algorithm, M, B, n_blocks, budget):
+        mach = EMMachine(M, B, trace=False)
+        n = n_blocks * B
+        keys = np.random.default_rng(0).permutation(n)
+        arr = mach.alloc(n_blocks)
+        arr.load_flat(make_records(keys))
+        with mach.metered() as meter:
+            if algorithm == "lemma2":
+                out = oblivious_external_sort(mach, arr)
+            else:
+                out = oblivious_sort(mach, arr, n, make_rng(0), retries=1)
+        assert np.array_equal(out.nonempty()[:, 0], np.arange(n))
+        assert meter.batches <= budget
 
 
 #: Fingerprints of the adversary-visible transcripts at this exact
