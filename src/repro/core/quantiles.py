@@ -235,10 +235,6 @@ def _quantiles_sampled(
         x_i = found.get(rx, KEY_MIN) if rx >= 1 else KEY_MIN
         y_i = found.get(ry, KEY_MAX) if 1 <= ry <= c_s else KEY_MAX
         brackets.append((x_i, y_i))
-    # First and last brackets are widened to the extremes (paper's
-    # convention: x_1 = min A, y_q = max A).
-    brackets[0] = (KEY_MIN, brackets[0][1])
-    brackets[-1] = (brackets[-1][0], KEY_MAX)
 
     # Effective (disjoint, value-ordered) brackets: an item belongs to the
     # first bracket that contains it.

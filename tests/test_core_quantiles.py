@@ -92,6 +92,19 @@ class TestQuantileCorrectness:
         assert rep.keys.tolist() == true_quantiles(keys, 2)
         assert (rep.sample_size, rep.marked) == (0, 256)
 
+    @pytest.mark.parametrize("M", [32, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampling_path_at_one_quantile_above_cap(self, M, seed):
+        """At q = 1 above (8q)^4 = 4,096 items the bracket stays the
+        sample's: its ends are not widened to the key range, so it marks
+        far fewer items than Lemma 15's cap (6,889 of 8,192)."""
+        keys = np.random.default_rng(seed).permutation(np.arange(8192))
+        mach, arr = build(keys, M=M)
+        mach.trace.enabled = False
+        rep = _quantiles_sampled(mach, arr, 8192, 1, make_rng(seed), report=True)
+        assert rep.keys.tolist() == true_quantiles(keys, 1)
+        assert rep.marked < 3000
+
     def test_validation(self):
         mach, arr = build([1, 2, 3])
         with pytest.raises(ValueError):

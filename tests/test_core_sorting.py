@@ -63,6 +63,16 @@ class TestSortCorrectness:
             assert np.array_equal(real[:, 0], keys[order])
             assert np.array_equal(real[:, 1], values[order])
 
+    def test_small_cache_above_one_quantile_cap(self):
+        """At M/B = 8 the sort splits on q = 1 quantile, and 8,192 records
+        are above (8q)^4 = 4,096, so its pivot steps take the sampling
+        path; each must succeed on the first attempt."""
+        keys = np.random.default_rng(0).permutation(8192)
+        stats = SortStats()
+        _, out = run_sort(keys, M=32, seed=3, stats=stats, trace=False, retries=1)
+        assert np.array_equal(out.nonempty()[:, 0], np.sort(keys))
+        assert stats.levels >= 5
+
     def test_adversarial_inputs(self):
         n = 256
         for keys in ([7] * n, list(range(n)), list(range(n))[::-1]):
