@@ -31,7 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.baselines import bitonic_external_sort, external_merge_sort, sort_then_pick
-from repro.core._helpers import empty_block
+from repro.em.block import empty_block
 from repro.core.compaction import (
     CompactionFailure,
     loose_compact,

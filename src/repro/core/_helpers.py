@@ -12,24 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.em.batch import hold_scan, scan_chunks
-from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
+from repro.em.block import RECORD_WIDTH, is_empty
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
 
 __all__ = [
-    "empty_block",
     "copy_blocks",
     "copy_array",
     "concat_arrays",
-    "block_occupied",
     "ranked_records_scan",
 ]
-
-
-def empty_block(B: int) -> np.ndarray:
-    blk = np.full((B, RECORD_WIDTH), 0, dtype=np.int64)
-    blk[:, 0] = NULL_KEY
-    return blk
 
 
 def copy_blocks(
@@ -64,11 +56,6 @@ def concat_arrays(machine: EMMachine, parts: list[EMArray], name: str) -> EMArra
         copy_blocks(machine, p, 0, out, pos, p.num_blocks)
         pos += p.num_blocks
     return out
-
-
-def block_occupied(block: np.ndarray) -> bool:
-    """In-cache test: does the block hold any non-empty record?"""
-    return bool(np.any(~is_empty(block)))
 
 
 def ranked_records_scan(

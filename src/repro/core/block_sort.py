@@ -27,12 +27,15 @@ filled by ``key_fn`` once at the start; padding atoms carry an explicit
 
 Run formation and each stage of the network go through
 :func:`repro.core.external_sort.sort_stage`, the stage runner this sort
-shares with the Lemma-2 sort: a stage with at least ``R`` comparators
-(runs, in run formation) is one engine call whose round ``c`` is
-comparator ``c``, a shorter one is one call per run and phase, and both
-emit the per-comparator loop's trace event for event.  The in-cache sort
-is one stable ``np.lexsort`` over the call's ``(comparators, atoms)`` key
-matrix, which breaks ties exactly as a per-comparator sort does.
+shares with the Lemma-2 sort: one engine call per chunk of comparators
+(runs, in run formation), with one read and one write stream per column
+— the key side-car, then each array.  Round ``c`` is comparator ``c``,
+so a comparator's events run column by column: it reads the side-car's
+runs, then each array's, and writes them back in the same order, the
+trace of a per-comparator loop that moves one column at a time.  The
+in-cache sort is one stable ``np.lexsort`` over the call's
+``(comparators, atoms)`` key matrix, which breaks ties exactly as a
+per-comparator sort does.
 """
 
 from __future__ import annotations

@@ -30,17 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core._helpers import (
-    block_occupied,
-    concat_arrays,
-    copy_array,
-    copy_blocks,
-    empty_block,
-)
+from repro.core._helpers import concat_arrays, copy_array, copy_blocks
 from repro.core.block_sort import oblivious_block_sort
 from repro.core.thinning import thinning_rounds
 from repro.em.batch import blocks_occupied, empty_blocks, hold_scan, scan_chunks
-from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
+from repro.em.block import NULL_KEY, RECORD_WIDTH, block_occupied, empty_block, is_empty
 from repro.em.errors import EMError
 from repro.errors import LasVegasFailure
 from repro.em.machine import EMMachine

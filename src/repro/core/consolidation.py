@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from repro.em.batch import _CHUNK_FLOOR, empty_blocks, hold_scan, round_chunks, scan_chunks
-from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
+from repro.em.block import RECORD_WIDTH, empty_block, is_empty
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
 
@@ -38,19 +38,13 @@ def _nonempty(records: np.ndarray) -> np.ndarray:
     return ~is_empty(records)
 
 
-def _empty_block(B: int) -> np.ndarray:
-    blk = np.full((B, RECORD_WIDTH), 0, dtype=np.int64)
-    blk[:, 0] = NULL_KEY
-    return blk
-
-
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Where each group starts when groups of ``counts`` lie end to end."""
     return np.cumsum(counts) - counts
 
 
 def _pack_block(records: np.ndarray, B: int) -> np.ndarray:
-    blk = _empty_block(B)
+    blk = empty_block(B)
     blk[: len(records)] = records
     return blk
 

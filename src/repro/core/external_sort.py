@@ -69,76 +69,39 @@ def sort_stage(
     cache, reorders them with ``sort_rows`` and writes them back to the
     same positions.  The caller holds the cache for one comparator.
 
-    Each form below is one engine call per chunk of at most
-    ``_CHUNK_FLOOR`` staged blocks, whose round ``c`` is comparator ``c``
-    and emits that comparator's scalar events in order.  The engine
-    performs all of a call's reads before any of its writes, and that
-    still yields the per-comparator loop's values: the runs of one
-    stage's comparators are disjoint, so no comparator reads what another
-    in the same call writes.
-
-    With one column, the call is two wide streams: round ``c`` reads the
-    ``R`` blocks of run ``side[c]`` of each side in turn, then writes the
-    same blocks back in the same order.  With several columns the loop
-    interleaves them atom by atom, which one wide stream per column
-    cannot express, so every (side, atom, column) is a stream of its own.
-    Such a call has ``2 * sides * R * len(cols)`` streams, and the engine
-    pays Python time per stream, so a stage with fewer comparators than
-    ``R`` (few, long runs) instead issues one call per run to read it and
-    one to write it back, each with rounds over the run's atoms.  Every
-    form emits the same events, so the choice — a function of public
-    sizes only — never shows in the trace.
+    The stage is one engine call per chunk of at most ``_CHUNK_FLOOR``
+    staged blocks, with one read stream and then one write stream per
+    column.  Each stream is a ``(k, sides * R)`` matrix whose round
+    ``c`` is comparator ``c``'s runs side by side, so the comparator's
+    events run column by column: it reads the runs of each column in
+    turn, then writes them back in the same order.  The engine performs
+    all of a call's reads before any of its writes, and that still
+    yields the per-comparator loop's values: the runs of one stage's
+    comparators are disjoint, so no comparator reads what another in the
+    same call writes.
     """
     width = len(cols)
-    if width == 1:
-        (col,) = cols
-        atoms = np.arange(R, dtype=np.int64)
-        cap = max(1, _CHUNK_FLOOR // (len(sides) * R))
-        for lo, hi in scan_chunks(machine, len(sides[0]), cap=cap):
-            runs = np.stack([s[lo:hi] for s in sides], axis=1)
-            pos = (runs[:, :, None] * R + atoms).reshape(hi - lo, -1)
-            machine.io_rounds(
-                [("r", col, pos), ("w", col, pos, lambda got: sort_rows([got[0]])[0])]
-            )
-        return
-    if len(sides[0]) < R:
-
-        def load(run):
-            return machine.io_rounds([("r", col, run) for col in cols])
-
-        def store(run, blocks):
-            machine.io_rounds([("w", col, run, b) for col, b in zip(cols, blocks)])
-
-        for ids in zip(*(s.tolist() for s in sides)):
-            runs = [(i * R, i * R + R) for i in ids]
-            got = [load(run) for run in runs]
-            data = [x[0] for x in sort_rows([np.concatenate(p)[None] for p in zip(*got)])]
-            for k, run in enumerate(runs):
-                store(run, [x[k * R : k * R + R] for x in data])
-        return
+    atoms = np.arange(R, dtype=np.int64)
     cap = max(1, _CHUNK_FLOOR // (len(sides) * R * width))
     for lo, hi in scan_chunks(machine, len(sides[0]), cap=cap):
-        positions = [s[lo:hi] * R + i for s in sides for i in range(R)]
-        reads = [("r", col, pos) for pos in positions for col in cols]
-        done: list = []
+        runs = np.stack([s[lo:hi] for s in sides], axis=1)
+        pos = (runs[:, :, None] * R + atoms).reshape(hi - lo, -1)
+        done: list[np.ndarray] = []
 
         def sorted_col(got: list, t: int) -> np.ndarray:
             """Column ``t`` as a ``(comparators, atoms, B, 2)`` stack
             whose rows are sorted."""
             if not done:
-                done.extend(
-                    sort_rows(
-                        [np.stack(got[u : len(reads) : width], axis=1) for u in range(width)]
-                    )
-                )
+                done.extend(sort_rows(got[:width]))
             return done[t]
 
-        writes = [
-            ("w", col, pos, lambda got, a=a, t=t: sorted_col(got, t)[:, a])
-            for a, pos in enumerate(positions)
-            for t, col in enumerate(cols)
-        ]
-        machine.io_rounds(reads + writes)
+        machine.io_rounds(
+            [("r", col, pos) for col in cols]
+            + [
+                ("w", col, pos, lambda got, t=t: sorted_col(got, t))
+                for t, col in enumerate(cols)
+            ]
+        )
 
 
 def _sort_record_rows(stacks: list[np.ndarray]) -> list[np.ndarray]:

@@ -7,8 +7,8 @@ cache, and :func:`empty_blocks` / :func:`blocks_occupied` are the
 vectorized forms of the per-block primitives; :func:`round_chunks` splits
 a scan of rounds that each read a run of blocks.  Chunks have a large
 floor (``_CHUNK_FLOOR``) — the engine may stage more blocks physically
-than the model's ``M/B``, exactly as the historical ``read_range`` did;
-the cache lease records what the *algorithm* claims to hold.  They live
+than the model's ``M/B``; the cache lease records what the *algorithm*
+claims to hold.  They live
 in the EM layer so both the algorithm packages and the networks can use
 them without import cycles.
 """
@@ -55,9 +55,8 @@ def blocks_occupied(blocks: np.ndarray) -> np.ndarray:
 
 #: Minimum rounds per scan chunk.  The *modeled* residency of a batched
 #: scan stays within the cache lease (see :func:`hold_scan`); the engine
-#: is free to stage more physically — the same affordance the historical
-#: ``read_range`` provided — so small caches do not force per-handful
-#: Python round trips.
+#: is free to stage more physically, so small caches do not force
+#: per-handful Python round trips.
 _CHUNK_FLOOR = 4096
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "make_records",
     "is_empty",
     "occupancy",
+    "block_occupied",
 ]
 
 #: Reserved key marking an empty cell.  Chosen as int64 min so that any
@@ -80,3 +81,8 @@ def is_empty(cells: np.ndarray) -> np.ndarray:
 def occupancy(cells: np.ndarray) -> int:
     """Return the number of non-empty cells."""
     return int(np.count_nonzero(~is_empty(cells)))
+
+
+def block_occupied(block: np.ndarray) -> bool:
+    """In-cache test: does the block hold any non-empty record?"""
+    return bool(np.any(~is_empty(block)))

@@ -32,9 +32,8 @@ formulation, obliviousness arguments transfer verbatim.  The *modeled*
 private-memory residency is what the cache leases account for — the
 algorithm's claim of how many blocks it holds at once, which the scans
 keep within ``M/B``.  The engine itself may stage more blocks physically
-while replaying a fixed event pattern (the same affordance the
-historical ``read_range`` provided); that is a simulation detail, never
-part of the model.
+while replaying a fixed event pattern; that is a simulation detail,
+never part of the model.
 """
 
 from __future__ import annotations
@@ -63,19 +62,39 @@ IOStep = tuple
 _OP_READ = int(Op.READ)
 _OP_WRITE = int(Op.WRITE)
 
-#: Memoized 0..k-1 round-number columns for trace-row building.  The
-#: cached arrays are only ever used as read-only operands.
-_ROUND_NUMBERS: dict[int, np.ndarray] = {}
+
+def _parse(indices, wide: bool = False) -> tuple:
+    """``(lo, hi, step, idx, k)`` of one stream's indices: a ``(lo, hi[,
+    step])`` range (``idx`` None) or an int64 index array, 1-D or, when
+    ``wide``, a ``(k, w)`` matrix."""
+    if type(indices) is tuple:
+        lo, hi, st = indices if len(indices) == 3 else (*indices, 1)
+        return lo, hi, st, None, len(range(lo, hi, st)) if hi > lo else 0
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1 and (idx.ndim != 2 or not wide):
+        form = "1-D or (k, w)" if wide else "1-D"
+        raise ValueError(f"indices must be {form}, got shape {idx.shape}")
+    return 0, 0, 1, idx, len(idx)
 
 
-def _round_numbers(k: int) -> np.ndarray:
-    arr = _ROUND_NUMBERS.get(k)
-    if arr is None:
-        arr = np.arange(k, dtype=np.int64)
-        if len(_ROUND_NUMBERS) > 512:
-            _ROUND_NUMBERS.clear()
-        _ROUND_NUMBERS[k] = arr
-    return arr
+def _side_by_side(group: list, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """One array's write streams as the indices and blocks of one
+    scatter, laid out round by round, then stream by stream, then column
+    by column: the scalar loop's write order.  ``group`` holds
+    ``(stream, blocks)`` pairs of one call."""
+    mats, stacks = [], []
+    for (_, _, lo, hi, st, idx, _), blocks in group:
+        if idx is None:
+            idx = np.arange(lo, hi, st)
+        shape = idx.shape + (B, RECORD_WIDTH)
+        if blocks.shape != shape:
+            raise ValueError(f"blocks shape {blocks.shape} does not match {shape}")
+        mats.append(idx if idx.ndim == 2 else idx[:, None])
+        stacks.append(blocks.reshape(mats[-1].shape + (B, RECORD_WIDTH)))
+    if len(group) > 1:
+        mats = [np.concatenate(mats, axis=1)]
+        stacks = [np.concatenate(stacks, axis=1)]
+    return mats[0].reshape(-1), stacks[0].reshape(-1, B, RECORD_WIDTH)
 
 
 @dataclass
@@ -356,40 +375,25 @@ class EMMachine:
 
     # -- batched block I/O -------------------------------------------------
     #
-    # Every batched entry point accepts either an explicit 1-D int64 index
-    # array or a contiguous ``(lo, hi)`` tuple.  Ranges are the fast path:
-    # O(1) bounds checks and slice-based gather/scatter instead of fancy
-    # indexing — the dominant case, since hot loops scan in chunks.
+    # Every batched entry point accepts either an explicit int64 index
+    # array or a contiguous ``(lo, hi)`` / strided ``(lo, hi, step)`` range
+    # tuple.  Ranges are the fast path: O(1) bounds checks and slice-based
+    # gather/scatter instead of fancy indexing — the dominant case, since
+    # hot loops scan in chunks.  :meth:`read_many`, :meth:`write_many`,
+    # :meth:`copy_many` and :meth:`io_rounds` parse their streams and hand
+    # them to one core, :meth:`_rounds`.
 
     def read_many(self, arr: EMArray, indices) -> np.ndarray:
         """Read the indexed blocks (``k`` I/Os) as ``(k, B, 2)``.
 
-        ``indices`` is a 1-D index array or a ``(lo, hi)`` range tuple.
-        The trace records one READ per index, in index order — identical
-        to a scalar ``read`` loop.  Callers must chunk requests so the
-        returned blocks fit the private memory they have reserved.
+        ``indices`` is a 1-D index array or a ``(lo, hi[, step])`` range
+        tuple.  The trace records one READ per index, in index order —
+        identical to a scalar ``read`` loop.  Callers must chunk requests
+        so the returned blocks fit the private memory they have reserved.
         """
         self._own(arr)
-        if type(indices) is tuple:
-            lo, hi, step = indices if len(indices) == 3 else (*indices, 1)
-            idx = None
-            k = len(range(lo, hi, step)) if hi > lo else 0
-        else:
-            idx = self._as_indices(indices)
-            lo = hi = 0
-            step = 1
-            k = len(idx)
-        blocks = arr._gather_range(lo, hi, step) if idx is None else arr._gather(idx)
-        self.reads += k
-        self._count_batch(k)
-        self._notify_io(k, 1)
-        if self.trace.enabled and k:
-            rows = np.empty((k, 3), dtype=np.int64)
-            rows[:, 0] = _OP_READ
-            rows[:, 1] = arr.array_id
-            rows[:, 2] = idx if idx is not None else np.arange(lo, hi, step)
-            self.trace.append_rows(rows)
-        return blocks
+        lo, hi, st, idx, k = _parse(indices)
+        return self._rounds([("r", arr, lo, hi, st, idx, None)], k, False)[0]
 
     def write_many(self, arr: EMArray, indices, blocks: np.ndarray) -> None:
         """Write ``blocks[t]`` to block ``indices[t]`` (``k`` I/Os).
@@ -398,29 +402,8 @@ class EMMachine:
         behave like the equivalent sequential loop (last write wins).
         """
         self._own(arr)
-        blocks = np.asarray(blocks, dtype=np.int64)
-        if type(indices) is tuple:
-            lo, hi, step = indices if len(indices) == 3 else (*indices, 1)
-            idx = None
-            k = len(blocks)
-        else:
-            idx = self._as_indices(indices)
-            lo = hi = 0
-            step = 1
-            k = len(idx)
-        if idx is None:
-            arr._scatter_range(lo, hi, blocks, step)
-        else:
-            arr._scatter(idx, blocks)
-        self.writes += k
-        self._count_batch(k)
-        self._notify_io(k, 1)
-        if self.trace.enabled and k:
-            rows = np.empty((k, 3), dtype=np.int64)
-            rows[:, 0] = _OP_WRITE
-            rows[:, 1] = arr.array_id
-            rows[:, 2] = idx if idx is not None else np.arange(lo, hi, step)
-            self.trace.append_rows(rows)
+        lo, hi, st, idx, k = _parse(indices)
+        self._rounds([("w", arr, lo, hi, st, idx, blocks)], k, True)
 
     def copy_many(self, src: EMArray, src_indices, dst: EMArray, dst_indices) -> None:
         """Fused ``write(dst, d[t], read(src, s[t]))`` loop (``2k`` I/Os).
@@ -432,54 +415,18 @@ class EMMachine:
         """
         self._own(src)
         self._own(dst)
-        if type(src_indices) is tuple:
-            s_lo, s_hi, s_st = (
-                src_indices if len(src_indices) == 3 else (*src_indices, 1)
-            )
-            sidx = None
-            k = len(range(s_lo, s_hi, s_st)) if s_hi > s_lo else 0
-        else:
-            sidx = self._as_indices(src_indices)
-            s_lo = s_hi = 0
-            s_st = 1
-            k = len(sidx)
-        blocks = (
-            src._gather_range(s_lo, s_hi, s_st) if sidx is None else src._gather(sidx)
+        s_lo, s_hi, s_st, sidx, k = _parse(src_indices)
+        d_lo, d_hi, d_st, didx, kd = _parse(dst_indices)
+        if kd != k:
+            raise ValueError(f"source and destination counts differ ({k} != {kd})")
+        self._rounds(
+            [
+                ("r", src, s_lo, s_hi, s_st, sidx, None),
+                ("w", dst, d_lo, d_hi, d_st, didx, lambda reads: reads[0]),
+            ],
+            k,
+            True,
         )
-        if type(dst_indices) is tuple:
-            d_lo, d_hi, d_st = (
-                dst_indices if len(dst_indices) == 3 else (*dst_indices, 1)
-            )
-            didx = None
-        else:
-            didx = self._as_indices(dst_indices)
-            d_lo = d_hi = 0
-            d_st = 1
-            if len(didx) != k:
-                raise ValueError(
-                    f"source and destination counts differ ({k} != {len(didx)})"
-                )
-        if didx is None:
-            dst._scatter_range(d_lo, d_hi, blocks, d_st)
-        else:
-            dst._scatter(didx, blocks)
-        self.reads += k
-        self.writes += k
-        self._count_batch(2 * k)
-        self._notify_io(k, 2)
-        if self.trace.enabled and k:
-            rows = np.empty((2 * k, 3), dtype=np.int64)
-            rows[0::2, 0] = _OP_READ
-            rows[1::2, 0] = _OP_WRITE
-            rows[0::2, 1] = src.array_id
-            rows[1::2, 1] = dst.array_id
-            rows[0::2, 2] = (
-                sidx if sidx is not None else np.arange(s_lo, s_hi, s_st)
-            )
-            rows[1::2, 2] = (
-                didx if didx is not None else np.arange(d_lo, d_hi, d_st)
-            )
-            self.trace.append_rows(rows)
 
     def swap_many(self, arr: EMArray, left, right) -> None:
         """Fused sequential swap loop: for each ``t``, swap blocks
@@ -496,8 +443,8 @@ class EMMachine:
             left = np.arange(*left, dtype=np.int64)
         if type(right) is tuple:
             right = np.arange(*right, dtype=np.int64)
-        lidx = self._as_indices(left)
-        ridx = self._as_indices(right)
+        lidx = _parse(left)[3]
+        ridx = _parse(right)[3]
         if len(lidx) != len(ridx):
             raise ValueError(
                 f"left and right counts differ ({len(lidx)} != {len(ridx)})"
@@ -567,148 +514,51 @@ class EMMachine:
         compensate in the payload callable (see ``thinning_pass``) or
         split the batch.
 
-        Writes land in the scalar loop's order.  When several streams
-        write one array, the engine builds every payload first and then
-        applies each array's streams together — round by round, stream by
-        stream within a round and column by column within a wide stream —
-        so contents (last write wins) and ciphertext versions match the
-        loop even when the streams interleave or overlap: one index
-        matrix, one scatter and one re-encryption per array, or one slice
-        write when that order is a contiguous range (``S`` range streams
-        of stride ``S`` starting at ``lo, lo + 1, ..., lo + S - 1``).
-        Streams that each write their own array are written one after
-        another.  A call with a wide stream gathers each stream with one
-        fancy index and builds every payload before the first write.
+        Writes land in the scalar loop's order.  The engine builds every
+        payload before the first write.  An array written by one stream
+        takes one write; an array written by several takes one scatter
+        and one re-encryption over their blocks laid out round by round,
+        stream by stream within a round and column by column within a
+        wide stream, so contents (last write wins) and ciphertext
+        versions match the loop even when the streams interleave or
+        overlap.
 
         If a payload callable raises, the whole batch is abandoned —
-        nothing is counted or traced.  Error transcripts therefore are
-        not byte-stable against the scalar engine (which recorded events
-        up to the failing block); every such error aborts the attempt,
-        so only success transcripts carry obliviousness claims.
+        nothing is written, counted or traced.  Error transcripts
+        therefore are not byte-stable against the scalar engine (which
+        recorded events up to the failing block); every such error aborts
+        the attempt, so only success transcripts carry obliviousness
+        claims.
 
         Returns the per-step list of gathered read results.
         """
         if not steps:
             return []
         k = -1
-        all_ranges = True
-        wide = False
-        parsed: list[list] = []
-        writers: list[int] = []
+        writes = False
+        streams: list[tuple] = []
         for step in steps:
             kind = step[0]
-            if kind not in ("r", "w"):
+            if kind == "w":
+                writes = True
+                payload = step[3]
+            elif kind == "r":
+                payload = None
+            else:
                 raise ValueError(f"unknown io_rounds step kind {kind!r}")
             arr = step[1]
             self._own(arr)
-            indices = step[2]
-            if type(indices) is tuple:
-                lo, hi, st = indices if len(indices) == 3 else (*indices, 1)
-                idx = None
-                if st == 1:
-                    kk = hi - lo if hi > lo else 0
-                else:
-                    kk = len(range(lo, hi, st)) if hi > lo else 0
-            else:
-                idx = np.asarray(indices, dtype=np.int64)
-                if idx.ndim != 1:
-                    if idx.ndim != 2:
-                        raise ValueError(
-                            f"indices must be 1-D or (k, w), got shape {idx.shape}"
-                        )
-                    wide = True
-                lo = hi = 0
-                st = 1
-                kk = len(idx)
-                all_ranges = False
+            lo, hi, st, idx, kk = _parse(step[2], wide=True)
             if k < 0:
                 k = kk
             elif kk != k:
                 raise ValueError(
                     f"io_rounds streams disagree on length ({kk} != {k})"
                 )
-            if kind == "w":
-                payload = step[3]
-                writers.append(arr.array_id)
-            else:
-                payload = None
-            parsed.append([kind, arr, lo, hi, st, idx, payload])
+            streams.append((kind, arr, lo, hi, st, idx, payload))
         if k == 0:
-            return [None for _ in parsed]
-        if wide:
-            return self._wide_rounds(parsed, k)
-
-        results: list[np.ndarray | None] = []
-        n_reads = n_writes = 0
-        for kind, arr, lo, hi, st, idx, _ in parsed:
-            if kind == "r":
-                results.append(
-                    arr._gather_range(lo, hi, st) if idx is None else arr._gather(idx)
-                )
-                n_reads += k
-            else:
-                results.append(None)
-                n_writes += k
-        if len(set(writers)) == len(writers):
-            for kind, arr, lo, hi, st, idx, payload in parsed:
-                if kind != "w":
-                    continue
-                blocks = payload(results) if callable(payload) else payload
-                blocks = np.asarray(blocks, dtype=np.int64)
-                if idx is None:
-                    arr._scatter_range(lo, hi, blocks, st)
-                else:
-                    arr._scatter(idx, blocks)
-        else:
-            self._write_rounds(parsed, results, k)
-        self.reads += n_reads
-        self.writes += n_writes
-        self._count_batch(k * len(parsed))
-        self._notify_io(k, len(parsed))
-        if self.trace.enabled:
-            t = len(parsed)
-            rows = np.empty((k, t, 3), dtype=np.int64)
-            rows[:, :, 0] = np.array(
-                [_OP_READ if p[0] == "r" else _OP_WRITE for p in parsed],
-                dtype=np.int64,
-            )
-            rows[:, :, 1] = np.array(
-                [p[1].array_id for p in parsed], dtype=np.int64
-            )
-            if all_ranges:
-                # All-range batch: one broadcast build of every index.
-                rows[:, :, 2] = _round_numbers(k)[:, None] * np.array(
-                    [p[4] for p in parsed], dtype=np.int64
-                ) + np.array([p[2] for p in parsed], dtype=np.int64)
-            else:
-                for s, (kind, arr, lo, hi, st, idx, _) in enumerate(parsed):
-                    rows[:, s, 2] = (
-                        idx if idx is not None else np.arange(lo, hi, st)
-                    )
-            self.trace.append_rows(rows.reshape(-1, 3))
-        return results
-
-    def read_range(self, arr: EMArray, start: int, count: int) -> np.ndarray:
-        """Read ``count`` consecutive blocks (``count`` I/Os) as one array.
-
-        Returns shape ``(count, B, 2)``.  A thin wrapper over
-        :meth:`read_many`; the trace records each block read
-        individually, as the adversary would see them.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return self.read_many(arr, (start, start + count))
-
-    def write_range(self, arr: EMArray, start: int, blocks: np.ndarray) -> None:
-        """Write consecutive ``blocks`` starting at ``start`` (len I/Os)."""
-        blocks = np.asarray(blocks, dtype=np.int64)
-        if blocks.ndim != 3 or blocks.shape[1:] != (self.B, RECORD_WIDTH):
-            raise ValueError(
-                f"blocks must have shape (k, {self.B}, {RECORD_WIDTH}), "
-                f"got {blocks.shape}"
-            )
-        count = blocks.shape[0]
-        self.write_many(arr, (start, start + count), blocks)
+            return [None for _ in streams]
+        return self._rounds(streams, k, writes)
 
     # -- metering ------------------------------------------------------------
 
@@ -755,111 +605,76 @@ class EMMachine:
 
     # -- internals -------------------------------------------------------------
 
-    @staticmethod
-    def _as_indices(indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
-        return idx
+    def _rounds(self, streams: list, k: int, writes: bool) -> list[np.ndarray | None]:
+        """The engine core: run parsed streams of ``k`` rounds each.
 
-    @staticmethod
-    def _write_rounds(parsed: list, results: list, k: int) -> None:
-        """Apply write streams as the scalar loop would when several
-        write one array: per array, round by round and stream by stream
-        within a round, after every payload is built."""
-        by_array: dict[int, list] = {}
-        for p in parsed:
-            if p[0] == "w":
-                blocks = p[6](results) if callable(p[6]) else p[6]
-                by_array.setdefault(p[1].array_id, []).append(
-                    (p, np.asarray(blocks, dtype=np.int64))
-                )
-        for group in by_array.values():
-            arr = group[0][0][1]
-            S = len(group)
-            shape = (k, arr.B, RECORD_WIDTH)
-            bad = [b.shape for _, b in group if b.shape != shape]
-            if bad:
-                raise ValueError(f"blocks shape {bad[0]} does not match {shape}")
-            blocks = np.stack([b for _, b in group], axis=1).reshape(
-                k * S, arr.B, RECORD_WIDTH
-            )
-            lo0 = group[0][0][2]
-            if all(
-                p[5] is None and p[4] == S and p[2] == lo0 + s
-                for s, (p, _) in enumerate(group)
-            ):
-                # Stream s writes lo0 + s, lo0 + s + S, ...: round-major
-                # order is the contiguous range [lo0, lo0 + k * S).
-                arr._scatter_range(lo0, lo0 + k * S, blocks)
-                continue
-            idx = np.empty((k, S), dtype=np.int64)
-            for s, ((_, _, lo, hi, st, sidx, _), _) in enumerate(group):
-                idx[:, s] = sidx if sidx is not None else np.arange(lo, hi, st)
-            arr._scatter(idx.reshape(-1), blocks)
-
-    def _wide_rounds(self, parsed: list, k: int) -> list[np.ndarray | None]:
-        """:meth:`io_rounds` for a call with a ``(k, w)`` stream.
-
-        Every stream becomes a ``(k, w)`` index matrix (a 1-D stream is
-        one column) and is gathered with one fancy index.  Every payload
-        is built before the first write; then each array's write streams
-        are laid side by side — round, then stream, then column, the
-        scalar loop's order — for one scatter and one re-encryption per
-        array.  The trace rows of the whole call are built at once.
+        A stream is ``(kind, arr, lo, hi, step, idx, payload)``, with
+        ``idx`` None for a range; ``writes`` says whether any stream
+        writes.  Range streams move by slice and index streams by fancy
+        index, whatever their width.  Every payload is built before the
+        first write, then each written array takes one write: a slice or
+        a scatter when one stream writes it, else one scatter over its
+        streams' blocks (:func:`_side_by_side`).  The counters, the
+        observer and the trace rows of the whole call come last.
         """
-        mats: list[np.ndarray] = []
         results: list[np.ndarray | None] = []
-        n_reads = 0
-        for kind, arr, lo, hi, st, idx, _ in parsed:
-            if idx is None:
-                mat = np.arange(lo, hi, st)[:, None]
-            else:
-                mat = idx if idx.ndim == 2 else idx[:, None]
-            mats.append(mat)
+        n_reads = n_events = 0
+        for kind, arr, lo, hi, st, idx, _ in streams:
+            n = k if idx is None else idx.size
+            n_events += n
             if kind == "w":
                 results.append(None)
-                continue
-            n_reads += mat.size
-            if idx is None:
+            elif idx is None:
                 results.append(arr._gather_range(lo, hi, st))
+                n_reads += n
+            elif idx.ndim == 1:
+                results.append(arr._gather(idx))
+                n_reads += n
             else:
-                got = arr._gather(mat.reshape(-1))
+                got = arr._gather(idx.reshape(-1))
                 results.append(got.reshape(idx.shape + got.shape[1:]))
-        writes: dict[int, list] = {}
-        for (kind, arr, _, _, _, idx, payload), mat in zip(parsed, mats):
-            if kind != "w":
-                continue
-            blocks = np.asarray(
-                payload(results) if callable(payload) else payload, dtype=np.int64
-            )
-            shape = ((k,) if idx is None else idx.shape) + (arr.B, RECORD_WIDTH)
-            if blocks.shape != shape:
-                raise ValueError(f"blocks shape {blocks.shape} does not match {shape}")
-            writes.setdefault(arr.array_id, [arr]).append(
-                (mat, blocks.reshape(*mat.shape, arr.B, RECORD_WIDTH))
-            )
-        for arr, *streams in writes.values():
-            mat, blocks = streams[0] if len(streams) == 1 else (
-                np.concatenate([s[0] for s in streams], axis=1),
-                np.concatenate([s[1] for s in streams], axis=1),
-            )
-            arr._scatter(mat.reshape(-1), blocks.reshape(-1, arr.B, RECORD_WIDTH))
-        n_events = sum(mat.size for mat in mats)
+                n_reads += n
+        if writes:
+            by_array: dict[int, list] = {}
+            for s in streams:
+                if s[0] == "w":
+                    blocks = s[6](results) if callable(s[6]) else s[6]
+                    by_array.setdefault(s[1].array_id, []).append(
+                        (s, np.asarray(blocks, dtype=np.int64))
+                    )
+            for group in by_array.values():
+                (_, arr, lo, hi, st, idx, _), blocks = group[0]
+                if len(group) == 1 and idx is None:
+                    arr._scatter_range(lo, hi, blocks, st)
+                elif len(group) == 1 and idx.ndim == 1:
+                    arr._scatter(idx, blocks)
+                else:
+                    arr._scatter(*_side_by_side(group, arr.B))
         self.reads += n_reads
         self.writes += n_events - n_reads
         self._count_batch(n_events)
-        self._notify_io(k, len(parsed))
+        self._notify_io(k, len(streams))
         if self.trace.enabled and n_events:
-            rows = np.empty((k, n_events // k, 3), dtype=np.int64)
+            # Row u * E + j is round u's j-th event, E the events a round.
+            rows = np.empty((n_events, 3), dtype=np.int64)
+            E = n_events // k
             at = 0
-            for p, mat in zip(parsed, mats):
-                w = mat.shape[1]
-                rows[:, at : at + w, 0] = _OP_READ if p[0] == "r" else _OP_WRITE
-                rows[:, at : at + w, 1] = p[1].array_id
-                rows[:, at : at + w, 2] = mat
-                at += w
-            self.trace.append_rows(rows.reshape(-1, 3))
+            for kind, arr, lo, hi, st, idx, _ in streams:
+                op = _OP_READ if kind == "r" else _OP_WRITE
+                if idx is None or idx.ndim == 1:
+                    col = rows[at::E]
+                    col[:, 0] = op
+                    col[:, 1] = arr.array_id
+                    col[:, 2] = np.arange(lo, hi, st) if idx is None else idx
+                    at += 1
+                else:
+                    w = idx.shape[1]
+                    run = rows.reshape(k, E, 3)[:, at : at + w]
+                    run[:, :, 0] = op
+                    run[:, :, 1] = arr.array_id
+                    run[:, :, 2] = idx
+                    at += w
+            self.trace.append_rows(rows)
         return results
 
     def _count_batch(self, ios: int) -> None:

@@ -61,8 +61,6 @@ MACHINE_OPS: dict[str, OpSpec] = {
     "write_many": OpSpec(sinks=(1,), arrays=(0,), writes=(0,)),
     "copy_many": OpSpec(sinks=(1, 3), arrays=(0, 2), writes=(2,)),
     "swap_many": OpSpec(sinks=(1, 2), arrays=(0,), writes=(0,)),
-    "read_range": OpSpec(sinks=(1, 2), arrays=(0,), payload=True),
-    "write_range": OpSpec(sinks=(1,), arrays=(0,), writes=(0,)),
     "gather": OpSpec(sinks=(1,), arrays=(0,), payload=True),
     "scatter": OpSpec(sinks=(1,), arrays=(0,), writes=(0,)),
     "extract_records": OpSpec(arrays=(0,), payload=True),

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.em.batch import empty_blocks, hold_scan, scan_chunks
-from repro.em.block import NULL_KEY, RECORD_WIDTH, is_empty
+from repro.em.block import NULL_KEY, block_occupied, is_empty
 from repro.em.errors import EMError
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
@@ -177,7 +177,7 @@ def _write_labels_scan(
                 blocks = reads[0]
                 if occupied_vec is not None:
                     occ = np.asarray(occupied_vec[lo:hi], dtype=bool)
-                elif occupied_fn is None or occupied_fn is _default_occupied:
+                elif occupied_fn is None or occupied_fn is block_occupied:
                     occ = np.any(~is_empty(blocks), axis=1)
                 else:
                     occ = np.array(
@@ -191,11 +191,6 @@ def _write_labels_scan(
                 [("r", A, (lo, hi)), ("w", labels, (lo, hi), label_blocks)]
             )
     return labels, rank
-
-
-def _default_occupied(block: np.ndarray) -> bool:
-    """A block is occupied when it holds at least one non-empty record."""
-    return bool(np.any(~is_empty(block)))
 
 
 def _route_em(machine: EMMachine, data: EMArray, labels: EMArray) -> None:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EMConfig, ObliviousSession
+from repro.core.block_sort import oblivious_block_sort
 from repro.core.external_sort import oblivious_external_sort
 from repro.core.sorting import oblivious_sort
 from repro.em import make_records
@@ -312,37 +313,61 @@ class TestBackendEquivalence:
         mem.close()
 
 
-class TestRangeWrappers:
+class TestRangeStreams:
     def test_read_range_traces_and_counts(self):
         m = EMMachine(64, 4, retain_trace=True)
         a = m.alloc(8, "a")
         before = len(m.trace)
-        out = m.read_range(a, 2, 3)
+        out = m.read_many(a, (2, 5))
         assert out.shape == (3, 4, 2)
         assert m.reads == 3
         events = m.trace.as_array(before)
         assert events[:, 2].tolist() == [2, 3, 4]
 
-    def test_write_range_reencrypts_via_backend(self):
-        """write_range must route through the storage backend's scatter
-        hook (the historical implementation sliced ``_data`` directly)."""
-
-        class SpyBackend(MemoryBackend):
-            def __init__(self):
-                self.scatters = 0
-
-            def scatter(self, data, indices, blocks):
-                self.scatters += 1
-                super().scatter(data, indices, blocks)
-
-        spy = SpyBackend()
-        m = EMMachine(64, 4, backend=spy)
+    def test_write_range_reencrypts(self):
+        m = EMMachine(64, 4)
         a = m.alloc(8, "a")
         blocks = np.ones((2, 4, 2), dtype=np.int64)
         v0 = a.versions.snapshot()
-        m.write_range(a, 1, blocks)
+        m.write_many(a, (1, 3), blocks)
         assert np.all(a.versions.snapshot()[1:3] > v0[1:3])
         assert np.array_equal(a.raw[1:3], blocks)
+
+
+class TestAbandonedCall:
+    @pytest.mark.parametrize("form", ["range", "index", "wide"])
+    def test_raising_payload_writes_nothing(self, form):
+        """A payload callable that raises abandons the whole call: an
+        array that an earlier write stream targets keeps its contents
+        and versions, and nothing is counted or traced."""
+        m = EMMachine(64, 4)
+        c, a, b = (m.alloc(4, name) for name in ("c", "a", "b"))
+        for t, arr in enumerate((c, a, b)):
+            arr.load_flat(make_records(np.arange(16) + 100 * t))
+        idx, shape = {
+            "range": ((0, 2), (2, 4, 2)),
+            "index": (np.array([3, 1]), (2, 4, 2)),
+            "wide": (np.array([[0, 1], [2, 3]]), (2, 2, 4, 2)),
+        }[form]
+
+        def fail(reads):
+            raise RuntimeError("payload failed")
+
+        raw = [x.raw.copy() for x in (c, a, b)]
+        versions = [x.versions.snapshot() for x in (c, a, b)]
+        fingerprint = m.trace.fingerprint()
+        with pytest.raises(RuntimeError, match="payload failed"):
+            m.io_rounds([
+                ("r", c, (0, 2)),
+                ("w", a, idx, lambda reads: np.zeros(shape, dtype=np.int64)),
+                ("w", b, (0, 2), fail),
+            ])
+        for x, before, v in zip((c, a, b), raw, versions):
+            assert np.array_equal(x.raw, before)
+            assert np.array_equal(x.versions.snapshot(), v)
+        assert (m.reads, m.writes, m.batch_count, m.batched_io_count) == (0, 0, 0, 0)
+        assert m.trace.fingerprint() == fingerprint
+        assert sum(x.versions._clock for x in (c, a, b)) == m.writes
 
 
 class TestMeterDeprecation:
@@ -395,6 +420,19 @@ CALL_BUDGETS = [
     ("sort", 128, 4, 512, 674),
 ]
 
+#: Engine calls and streams (the sum of the ``streams`` that each call
+#: reports to ``machine.io_observer``) of the oblivious block sort,
+#: bounded at their counts with one read and one write stream per column
+#: in each stage's calls.  With a stream per block of a comparator and
+#: column, the same sorts made 51, 25 and 40 calls and 582, 1,302 and
+#: 883 streams.  Rows: (M, B, input blocks, arrays, call budget, stream
+#: budget).
+BLOCK_SORT_BUDGETS = [
+    (128, 4, 64, 2, 14, 78),
+    (128, 4, 256, 2, 25, 144),
+    (64, 4, 512, 1, 40, 155),
+]
+
 
 class TestEngineCallBudgets:
     @pytest.mark.parametrize(
@@ -415,6 +453,32 @@ class TestEngineCallBudgets:
                 out = oblivious_sort(mach, arr, n, make_rng(0), retries=1)
         assert np.array_equal(out.nonempty()[:, 0], np.arange(n))
         assert meter.batches <= budget
+
+    @pytest.mark.parametrize(
+        "M, B, n_blocks, T, call_budget, stream_budget",
+        BLOCK_SORT_BUDGETS,
+        ids=[f"block_sort-{row[2]}-blocks-{row[3]}-arrays-M{row[0]}" for row in BLOCK_SORT_BUDGETS],
+    )
+    def test_block_sort_calls_and_streams_within_budget(
+        self, M, B, n_blocks, T, call_budget, stream_budget
+    ):
+        mach = EMMachine(M, B, trace=False)
+        streams: list[int] = []
+        mach.io_observer = lambda rounds, t: streams.append(t)
+        rng = np.random.default_rng(0)
+        arrays = [mach.alloc(n_blocks) for _ in range(T)]
+        for arr in arrays:
+            arr.load_flat(make_records(rng.permutation(n_blocks * B)))
+        atoms = {int(arrays[0].raw[j, 0, 0]): [x.raw[j].copy() for x in arrays] for j in range(n_blocks)}
+        with mach.metered() as meter:
+            oblivious_block_sort(mach, arrays)
+        keys = arrays[0].raw[:, 0, 0]
+        assert (np.diff(keys) > 0).all()
+        for j, key in enumerate(keys.tolist()):
+            for x, block in zip(arrays, atoms[key]):
+                assert np.array_equal(x.raw[j], block)
+        assert meter.batches <= call_budget
+        assert sum(streams) <= stream_budget
 
 
 #: Fingerprints of the adversary-visible transcripts at this exact

@@ -356,8 +356,8 @@ class TestEMMachine:
         mach = EMMachine(M=64, B=4)
         arr = mach.alloc(4)
         blocks = np.stack([make_block([i], B=4) for i in range(3)])
-        mach.write_range(arr, 1, blocks)
-        out = mach.read_range(arr, 1, 3)
+        mach.write_many(arr, (1, 4), blocks)
+        out = mach.read_many(arr, (1, 4))
         assert np.array_equal(out, blocks)
         assert mach.writes == 3 and mach.reads == 3
 

@@ -82,7 +82,8 @@ class TestObliviousBlockSort:
 
 def _reference_block_sort(machine, arrays, key_fn, run_blocks):
     """The per-comparator loop the batched block sort replaced: one
-    ``io_rounds`` call to load each run and one to store each run."""
+    ``read_many`` per run and column to load a comparator, one
+    ``write_many`` per run and column to store it."""
     n = arrays[0].num_blocks
     if n <= 1:
         return
@@ -111,34 +112,27 @@ def _reference_block_sort(machine, arrays, key_fn, run_blocks):
         steps = [("w", w, (n + lo, n + hi), empty_blocks(k, B)) for w in work]
         machine.io_rounds(steps + [("w", keys, (n + lo, n + hi), pad_kb)])
 
-    def load_run(lo):
-        reads = machine.io_rounds(
-            [("r", keys, (lo, lo + R))] + [("r", w, (lo, lo + R)) for w in work]
-        )
-        return reads[0][:, 0, 1], reads[0][:, 0, 0], reads
+    cols = [keys, *work]
 
-    def store_atoms(lo, order, reads):
-        idx = (lo, lo + len(order))
-        machine.io_rounds([("w", keys, idx, reads[0][order])] + [
-            ("w", w, idx, reads[t + 1][order]) for t, w in enumerate(work)
-        ])
+    def comparator(runs):
+        """Read the runs of each column in turn, sort their atoms by
+        (pad flag, key), write them back in the same order."""
+        got = [
+            np.concatenate([machine.read_many(col, (r * R, r * R + R)) for r in runs])
+            for col in cols
+        ]
+        order = np.lexsort((got[0][:, 0, 0], got[0][:, 0, 1]))
+        for col, blocks in zip(cols, got):
+            for j, r in enumerate(runs):
+                machine.write_many(col, (r * R, r * R + R), blocks[order[j * R : j * R + R]])
 
     for run in range(num_runs):
-        pads, kvals, reads = load_run(run * R)
-        store_atoms(run * R, np.lexsort((kvals, pads)), reads)
+        comparator([run])
     if num_runs > 1:
         for los, his in batcher_pairs(next_pow2(num_runs)):
             for a, b in zip(los.tolist(), his.tolist()):
-                if b >= num_runs:
-                    continue
-                pads_a, k_a, reads_a = load_run(a * R)
-                pads_b, k_b, reads_b = load_run(b * R)
-                both = [np.concatenate([x, y]) for x, y in zip(reads_a, reads_b)]
-                order = np.lexsort(
-                    (np.concatenate([k_a, k_b]), np.concatenate([pads_a, pads_b]))
-                )
-                store_atoms(a * R, order[:R], both)
-                store_atoms(b * R, order[R:], both)
+                if b < num_runs:
+                    comparator([a, b])
     for lo, hi in scan_chunks(machine, n, streams=2 * T):
         steps = []
         for t in range(T):
@@ -151,10 +145,11 @@ def _reference_block_sort(machine, arrays, key_fn, run_blocks):
 
 
 class TestBatchedBlockSortTwin:
-    """The batched block sort (one ``io_rounds`` call per stage, or per
-    run and phase when a stage has fewer comparators than ``R``) emits
-    exactly the events, bytes and ciphertext versions of the
-    per-comparator loop."""
+    """The batched block sort (one ``io_rounds`` call per stage chunk,
+    with one read and one write stream per column) emits exactly the
+    events, bytes and ciphertext versions of the per-comparator loop,
+    which reads the runs of each column in turn and then writes them
+    back in the same order."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -507,10 +502,13 @@ class TestShelterFactor:
 #: ``(ops, n, M, B, seed, shelter_factor)``: construction from an initial
 #: array, 3n accesses cycling through ``ops`` (``r`` read, ``w`` write,
 #: ``u`` update, ``d`` dummy) across several epochs, then extract_to.
-#: The three ``"rwd"`` entries were captured on the *scalar* loop
+#: The three ``"rwd"`` entries were first captured on the *scalar* loop
 #: formulation before the batched rewrite; the fused-stream engine must
 #: reproduce them byte for byte — this is the ORAM layer's analogue of
 #: the algorithm-level golden fingerprints in test_em_batched_engine.py.
+#: Every entry was re-captured, with its I/O count unchanged, when the
+#: block sort's comparators began to run column by column (the key
+#: side-car's blocks, then each array's) instead of atom by atom.
 #: The ``"rwud"`` and ``shelter_factor=3`` entries pin the update path
 #: and stretched shelters.  The ``"peel"`` entry is a session
 #: ``run("compact_sparse")`` (the Theorem-4 peel over this backend) on a
@@ -518,27 +516,27 @@ class TestShelterFactor:
 ORAM_GOLDEN = {
     ("rwd", 8, 2048, 4, 11, 1): (
         5761,
-        "bb0712582688af11cb263bc7a3ac815509378d6d0842df5b51999c188a164ec7",
+        "0467c6eeaf74dd8972495806ad2bb217807ea6f8363e82b42c83e48be6aa658c",
     ),
     ("rwd", 13, 64, 4, 5, 1): (
         28793,
-        "6bcee1252f32a17fca44d2cedcaba507df9300eb9e7ef8439636110e3a1d94c8",
+        "44fc68fe48a015a0811e00a138a4ffe7b7041b13d3025db60bbd355c421f8d73",
     ),
     ("rwd", 4, 64, 2, 3, 1): (
         3746,
-        "d50de9711c473dfa4bc0d3bf59aa30b53819945433ec34a4b51e8c4baa2873de",
+        "5551148b415db4d6eb15f9f49711e6aa7accf9d1bb894960c707ebb70650762b",
     ),
     ("rwud", 9, 2048, 4, 7, 1): (
         6822,
-        "d4630ece20a3c97c3674a5763696cb037ad88d4ada1eea751084858ca63d1c6d",
+        "50751d78187bc54cf4b5b7cce69d4407374c362aed5a4d1b02c82e05be2cfdab",
     ),
     ("rwd", 9, 64, 4, 2, 3): (
         16419,
-        "b9e6ab55d57a774b0a4705bb577493d919f6c594f7a51fe38a0084c77a97a6ed",
+        "bd50cd30f2a80a9ab57600da70434366e7ac552e39e0cbbcf81b56c1a4559d37",
     ),
     ("peel", 16, 64, 4, 11, 1): (
         69752,
-        "7a1624651a07952c0f0db891be5370c39d5a65c99e66fb7aa858fe3deb742a2d",
+        "135eead5756ca10cb64ea30309a53e631243fc9db1c7dc9ea00512175355fd1b",
     ),
 }
 
