@@ -31,7 +31,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.baselines import bitonic_external_sort, external_merge_sort, sort_then_pick
-from repro.em.block import empty_block
 from repro.core.compaction import (
     CompactionFailure,
     loose_compact,
@@ -45,7 +44,7 @@ from repro.core.selection import select_em, select_sorted_em
 from repro.core.shuffle import knuth_block_shuffle
 from repro.core.sorting import oblivious_sort
 from repro.em.batch import hold_scan, scan_chunks
-from repro.em.block import NULL_KEY, is_empty
+from repro.em.block import NULL_KEY, empty_block, is_empty
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
 from repro.oram import make_oram

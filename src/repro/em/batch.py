@@ -8,9 +8,8 @@ vectorized forms of the per-block primitives; :func:`round_chunks` splits
 a scan of rounds that each read a run of blocks.  Chunks have a large
 floor (``_CHUNK_FLOOR``) — the engine may stage more blocks physically
 than the model's ``M/B``; the cache lease records what the *algorithm*
-claims to hold.  They live
-in the EM layer so both the algorithm packages and the networks can use
-them without import cycles.
+claims to hold.  They live in the EM layer so both the algorithm
+packages and the networks can use them without import cycles.
 """
 
 from __future__ import annotations

@@ -470,7 +470,8 @@ class EMMachine:
         arr.versions.reencrypt_many(widx)
         self.reads += 2 * k
         self.writes += 2 * k
-        self._count_batch(4 * k)
+        self.batch_count += 1
+        self.batched_io_count += 4 * k
         self._notify_io(k, 4)
         if self.trace.enabled:
             ops = np.empty(4 * k, dtype=np.int64)
@@ -624,16 +625,15 @@ class EMMachine:
             n_events += n
             if kind == "w":
                 results.append(None)
-            elif idx is None:
+                continue
+            n_reads += n
+            if idx is None:
                 results.append(arr._gather_range(lo, hi, st))
-                n_reads += n
             elif idx.ndim == 1:
                 results.append(arr._gather(idx))
-                n_reads += n
             else:
                 got = arr._gather(idx.reshape(-1))
                 results.append(got.reshape(idx.shape + got.shape[1:]))
-                n_reads += n
         if writes:
             by_array: dict[int, list] = {}
             for s in streams:
@@ -652,7 +652,9 @@ class EMMachine:
                     arr._scatter(*_side_by_side(group, arr.B))
         self.reads += n_reads
         self.writes += n_events - n_reads
-        self._count_batch(n_events)
+        if n_events:
+            self.batch_count += 1
+            self.batched_io_count += n_events
         self._notify_io(k, len(streams))
         if self.trace.enabled and n_events:
             # Row u * E + j is round u's j-th event, E the events a round.
@@ -676,11 +678,6 @@ class EMMachine:
                     at += w
             self.trace.append_rows(rows)
         return results
-
-    def _count_batch(self, ios: int) -> None:
-        if ios > 0:
-            self.batch_count += 1
-            self.batched_io_count += ios
 
     def _notify_io(self, rounds: int, streams: int) -> None:
         if self.io_observer is not None and rounds > 0:
