@@ -77,11 +77,25 @@ def _parse(indices, wide: bool = False) -> tuple:
     return 0, 0, 1, idx, len(idx)
 
 
-def _side_by_side(group: list, B: int) -> tuple[np.ndarray, np.ndarray]:
-    """One array's write streams as the indices and blocks of one
-    scatter, laid out round by round, then stream by stream, then column
-    by column: the scalar loop's write order.  ``group`` holds
-    ``(stream, blocks)`` pairs of one call."""
+def _checked_write(group: list, k: int) -> tuple:
+    """One array's write streams in a ``k``-round call as one write
+    ``(arr, lo, hi, step, idx, blocks)``, its bounds and block shapes
+    checked.  A lone range or 1-D index stream stays as it is; several
+    streams, or a wide one, become one scatter laid out round by round,
+    then stream by stream, then column by column: the scalar loop's
+    write order.  ``group`` holds ``(stream, blocks)`` pairs."""
+    (_, arr, lo, hi, st, idx, _), blocks = group[0]
+    B = arr.B
+    if len(group) == 1 and (idx is None or idx.ndim == 1):
+        if blocks.shape != (k, B, RECORD_WIDTH):
+            raise ValueError(
+                f"blocks shape {blocks.shape} does not match {(k, B, RECORD_WIDTH)}"
+            )
+        if idx is None:
+            arr._check_range(lo, hi, st)
+        else:
+            arr._check_many(idx)
+        return arr, lo, hi, st, idx, blocks
     mats, stacks = [], []
     for (_, _, lo, hi, st, idx, _), blocks in group:
         if idx is None:
@@ -94,7 +108,9 @@ def _side_by_side(group: list, B: int) -> tuple[np.ndarray, np.ndarray]:
     if len(group) > 1:
         mats = [np.concatenate(mats, axis=1)]
         stacks = [np.concatenate(stacks, axis=1)]
-    return mats[0].reshape(-1), stacks[0].reshape(-1, B, RECORD_WIDTH)
+    idx = mats[0].reshape(-1)
+    arr._check_many(idx)
+    return arr, 0, 0, 1, idx, stacks[0].reshape(-1, B, RECORD_WIDTH)
 
 
 @dataclass
@@ -524,8 +540,9 @@ class EMMachine:
         versions match the loop even when the streams interleave or
         overlap.
 
-        If a payload callable raises, the whole batch is abandoned —
-        nothing is written, counted or traced.  Error transcripts
+        If a payload callable raises, or a write stream fails its bounds
+        or block-shape check, the whole batch is abandoned — nothing is
+        written, counted or traced.  Error transcripts
         therefore are not byte-stable against the scalar engine (which
         recorded events up to the failing block); every such error aborts
         the attempt, so only success transcripts carry obliviousness
@@ -598,11 +615,14 @@ class EMMachine:
 
     def close(self) -> None:
         """Release every server array, then close the storage backend if
-        this machine owns it (shared service backends stay open)."""
+        this machine owns it (shared service backends stay open), then
+        wait for the trace's last full chunk to be hashed, re-raising
+        the hashing thread's error (:meth:`AccessTrace.sync`)."""
         for arr in list(self._arrays.values()):
             self.free(arr)
         if self.owns_backend:
             self.backend.close()
+        self.trace.sync()
 
     # -- internals -------------------------------------------------------------
 
@@ -612,10 +632,11 @@ class EMMachine:
         A stream is ``(kind, arr, lo, hi, step, idx, payload)``, with
         ``idx`` None for a range; ``writes`` says whether any stream
         writes.  Range streams move by slice and index streams by fancy
-        index, whatever their width.  Every payload is built before the
-        first write, then each written array takes one write: a slice or
-        a scatter when one stream writes it, else one scatter over its
-        streams' blocks (:func:`_side_by_side`).  The counters, the
+        index, whatever their width.  Every payload is built, and every
+        write's bounds and block shapes are checked, before the first
+        write; then each written array takes one write: a slice or a
+        scatter when one stream writes it, else one scatter over its
+        streams' blocks (:func:`_checked_write`).  The counters, the
         observer and the trace rows of the whole call come last.
         """
         results: list[np.ndarray | None] = []
@@ -642,20 +663,21 @@ class EMMachine:
                     by_array.setdefault(s[1].array_id, []).append(
                         (s, np.asarray(blocks, dtype=np.int64))
                     )
+            checked = []
             for group in by_array.values():
-                (_, arr, lo, hi, st, idx, _), blocks = group[0]
-                if len(group) == 1 and idx is None:
+                checked.append(_checked_write(group, k))
+            for arr, lo, hi, st, idx, blocks in checked:
+                if idx is None:
                     arr._scatter_range(lo, hi, blocks, st)
-                elif len(group) == 1 and idx.ndim == 1:
-                    arr._scatter(idx, blocks)
                 else:
-                    arr._scatter(*_side_by_side(group, arr.B))
+                    arr._scatter(idx, blocks)
         self.reads += n_reads
         self.writes += n_events - n_reads
         if n_events:
             self.batch_count += 1
             self.batched_io_count += n_events
-        self._notify_io(k, len(streams))
+        if self.io_observer is not None and k:
+            self.io_observer(k, len(streams))
         if self.trace.enabled and n_events:
             # Row u * E + j is round u's j-th event, E the events a round.
             rows = np.empty((n_events, 3), dtype=np.int64)

@@ -238,15 +238,11 @@ class EMArray:
     def _scatter(self, indices: np.ndarray, blocks: np.ndarray) -> None:
         """Bulk write: overwrite the indexed blocks, re-encrypting each.
 
+        The caller has checked the indices' bounds and the blocks' shape
+        (the machine checks every write of a call before the first).
         Duplicate indices behave like a sequential write loop (last
         occurrence wins, both for contents and ciphertext versions).
         """
-        self._check_many(indices)
-        if blocks.shape != (len(indices), self.B, RECORD_WIDTH):
-            raise ValueError(
-                f"blocks shape {blocks.shape} does not match "
-                f"({len(indices)}, {self.B}, {RECORD_WIDTH})"
-            )
         self.backend.scatter(self._data, indices, blocks)
         self.versions.reencrypt_many(indices)
 
@@ -266,14 +262,9 @@ class EMArray:
         return self._data[lo:hi:step].copy() if step != 1 else self._data[lo:hi].copy()
 
     def _scatter_range(self, lo: int, hi: int, blocks: np.ndarray, step: int = 1) -> None:
-        """(Strided) range bulk write, re-encrypting each block in order."""
-        self._check_range(lo, hi, step)
-        k = len(range(lo, hi, step))
-        if blocks.shape != (k, self.B, RECORD_WIDTH):
-            raise ValueError(
-                f"blocks shape {blocks.shape} does not match "
-                f"({k}, {self.B}, {RECORD_WIDTH})"
-            )
+        """(Strided) range bulk write, re-encrypting each block in order.
+        The caller has checked the range and the blocks' shape, as for
+        :meth:`_scatter`."""
         if step != 1:
             self._data[lo:hi:step] = blocks
         else:

@@ -15,9 +15,15 @@ Every reader of the transcript compares SHA-256 digests of *windows* of
 it, so the trace keeps digests, not events.  An event is one ``(op,
 array_id, index)`` int64 row.  Appends (``append_rows``, the engine's bulk
 path, and the ``record`` / ``record_batch`` / ``record_events`` forms)
-copy rows into one reused staging chunk; each full chunk is hashed into
-every open window and the chunk is then overwritten.  Memory stays at one
-chunk however many I/Os the machine performs.
+copy rows into a staging chunk of 32,768 rows.  Each full chunk is handed,
+with the windows open at that moment, to one hashing thread per process,
+which hashes it into every one of those windows while appends go on
+into the trace's second chunk.  A trace keeps at most one chunk in
+flight: it waits for that chunk before it hands off the next one and
+before any digest is read, so a chunk is overwritten only once it has
+been hashed.  Memory stays at two chunks however many I/Os the machine
+performs.  The thread starts on the first full chunk, so importing the
+library or running an untraced machine starts none.
 
 * The whole-trace window is always open: :meth:`AccessTrace.fingerprint`
   with no argument digests every event recorded so far.
@@ -27,11 +33,16 @@ chunk however many I/Os the machine performs.
   0, 1, 2, … by first appearance inside the window — the adversary view
   up to array renaming.  :meth:`AccessTrace.release` closes the window;
   ``with trace.window() as mark:`` opens one for a block and closes it
-  on every exit.  An open window costs a hash and a renaming of each
-  full chunk, so windows are closed as soon as they have been read.
+  on every exit.  An open window costs the hashing thread a hash and a
+  renaming of each full chunk, so windows are closed as soon as they
+  have been read.  A window opened while a chunk is in flight starts
+  after that chunk; a window released while one is in flight may still
+  receive it, which changes no open window's digest.
 
-Reading a window hashes the staged partial chunk into copies of its
-hashers, so an open window can be read any number of times as it grows.
+Reading a window waits for the chunk in flight, re-raising the hashing
+thread's error if it failed, then hashes the staged partial chunk into
+copies of its hashers, so an open window can be read any number of
+times as it grows.
 Each digest is ``sha256`` of the window's events as one ``(n, 3)``
 C-contiguous int64 array, the bytes every golden fingerprint was pinned
 on.  Raw events are kept only by ``AccessTrace(retain=True)``
@@ -42,6 +53,8 @@ events through :meth:`AccessTrace.as_array`.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from enum import IntEnum
@@ -50,8 +63,8 @@ import numpy as np
 
 __all__ = ["Op", "AccessTrace"]
 
-#: Rows per staging chunk.
-_CHUNK_EVENTS = 1 << 16
+#: Rows per staging chunk; a trace stages into two.
+_CHUNK_EVENTS = 1 << 15
 
 _NO_ROWS = np.empty((0, 3), dtype=np.int64)
 
@@ -101,6 +114,56 @@ def _renamed(rows: np.ndarray, ranks: dict[int, int]) -> np.ndarray:
     return out
 
 
+#: The process's hashing thread, a one-worker executor started by the
+#: first full chunk of any trace, and the job handed to it last.  Jobs
+#: run in the order they were handed off, so once that job is done every
+#: job is.
+_hasher = None
+_last_job = None
+_hasher_lock = threading.Lock()
+
+
+def _hash_later(folds: list):
+    """Hand ``folds`` to the hashing thread, starting it on first use;
+    returns the job's future."""
+    global _hasher, _last_job
+    with _hasher_lock:
+        if _hasher is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _hasher = ThreadPoolExecutor(1, thread_name_prefix="repro-trace")
+        _last_job = _hasher.submit(_fold_all, folds)
+        return _last_job
+
+
+def _drain_before_fork() -> None:
+    # A child inherits every trace but not the thread: let the chunks in
+    # flight finish, so none is left half hashed in the child.  The job's
+    # error, if any, stays with the trace that reads it.  This waits on
+    # the last job rather than submitting one, because concurrent.futures'
+    # own before-fork hook already holds the lock that submit takes.
+    job = _last_job
+    if job is not None:
+        job.exception()
+
+
+def _forget_after_fork() -> None:
+    # The child's first full chunk starts the child's own thread.
+    global _hasher, _last_job, _hasher_lock
+    _hasher = _last_job = None
+    _hasher_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_drain_before_fork, after_in_child=_forget_after_fork)
+
+
+def _fold_all(folds: list) -> None:
+    """The hashing thread's job: fold each ``(window, rows)`` pair."""
+    for window, rows in folds:
+        window.fold(rows)
+
+
 class _Window:
     """Running digests of the events from position ``start`` on."""
 
@@ -137,11 +200,12 @@ class AccessTrace:
     running SHA-256 digests of its open windows.
 
     ``retain=True`` also keeps every event for :meth:`as_array`; without
-    it the trace holds one staging chunk (none before the first event).
+    it the trace holds two staging chunks (none before the first event,
+    one until the first is full).
     """
 
-    __slots__ = ("enabled", "_retain", "_chunk", "_pos", "_base", "_kept",
-                 "_whole", "_windows")
+    __slots__ = ("enabled", "_retain", "_chunk", "_spare", "_pos", "_base",
+                 "_kept", "_whole", "_windows", "_pending")
 
     def __init__(self, *, retain: bool = False) -> None:
         #: When False, appends are no-ops.  Benchmarks that only need
@@ -149,11 +213,13 @@ class AccessTrace:
         self.enabled: bool = True
         self._retain = retain
         self._chunk: np.ndarray | None = None
+        self._spare: np.ndarray | None = None  # the chunk handed off last
         self._pos = 0  # events staged in _chunk
-        self._base = 0  # events hashed before _chunk[0]
+        self._base = 0  # events handed off before _chunk[0]
         self._kept: list[np.ndarray] = []  # full chunks, retain=True only
         self._whole = _Window(0, canonical=False)
         self._windows: dict[int, _Window] = {}
+        self._pending = None  # the future of the chunk in flight
 
     # -- appending ---------------------------------------------------------
 
@@ -163,16 +229,30 @@ class AccessTrace:
         return self._chunk
 
     def _fold_chunk(self) -> None:
-        """Hash the full staging chunk into every open window."""
+        """Hand the full staging chunk, with every window open now, to
+        the hashing thread, and stage on into the other chunk."""
         chunk = self._chunk
-        self._whole.fold(chunk)
+        folds = [(self._whole, chunk)]
         for window in self._windows.values():
-            window.fold(chunk[max(0, window.start - self._base):])
+            folds.append((window, chunk[max(0, window.start - self._base):]))
+        self.sync()  # the chunk handed off last is hashed: it may be reused
+        self._pending = _hash_later(folds)
         self._base += _CHUNK_EVENTS
         self._pos = 0
         if self._retain:
             self._kept.append(chunk)
             self._chunk = None
+        else:
+            self._chunk = self._spare if self._spare is not None else np.empty_like(chunk)
+            self._spare = chunk
+
+    def sync(self) -> None:
+        """Wait until every full chunk has been hashed, re-raising the
+        hashing thread's error.  A chunk that failed to hash fails every
+        later wait too, because the digests no longer cover it."""
+        if self._pending is not None:
+            self._pending.result()
+            self._pending = None
 
     def record(self, op: Op, array_id: int, index: int) -> None:
         """Append one event (no-op when tracing is disabled)."""
@@ -264,9 +344,10 @@ class AccessTrace:
         transcript — earlier history (e.g. ORAM traffic on the same
         machine) stays in the whole-trace digest.  Marking a position
         that already has an open window shares it; each ``mark`` needs
-        its own ``release``.  Until then every full chunk is also hashed,
-        and renamed, into the window, so a window left open slows every
-        later append; :meth:`window` releases it automatically.
+        its own ``release``.  Until then the hashing thread also hashes,
+        and renames, every full chunk into the window, so a window left
+        open loads that thread for the rest of the run; :meth:`window`
+        releases it automatically.
         """
         pos = len(self)
         window = self._windows.get(pos)
@@ -306,6 +387,7 @@ class AccessTrace:
 
     def _digests(self, window: _Window) -> tuple[str, str | None]:
         """Digests of ``window`` over the staged partial chunk too."""
+        self.sync()
         if self._chunk is None:
             return window.digests(_NO_ROWS)
         start = max(0, window.start - self._base)
@@ -355,7 +437,7 @@ class AccessTrace:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of event storage held: the staging chunk, plus every
+        """Bytes of event storage held: both staging chunks, plus every
         full chunk under ``retain=True``."""
-        staged = [] if self._chunk is None else [self._chunk]
+        staged = [c for c in (self._chunk, self._spare) if c is not None]
         return sum(chunk.nbytes for chunk in (*self._kept, *staged))

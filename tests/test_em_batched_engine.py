@@ -23,7 +23,7 @@ from repro.api import EMConfig, ObliviousSession
 from repro.core.block_sort import oblivious_block_sort
 from repro.core.external_sort import oblivious_external_sort
 from repro.core.sorting import oblivious_sort
-from repro.em import make_records
+from repro.em import OutOfBoundsError, make_records
 from repro.em.block import NULL_KEY
 from repro.em.machine import EMMachine
 from repro.em.storage import MemmapBackend, MemoryBackend
@@ -362,6 +362,33 @@ class TestAbandonedCall:
                 ("w", a, idx, lambda reads: np.zeros(shape, dtype=np.int64)),
                 ("w", b, (0, 2), fail),
             ])
+        for x, before, v in zip((c, a, b), raw, versions):
+            assert np.array_equal(x.raw, before)
+            assert np.array_equal(x.versions.snapshot(), v)
+        assert (m.reads, m.writes, m.batch_count, m.batched_io_count) == (0, 0, 0, 0)
+        assert m.trace.fingerprint() == fingerprint
+        assert sum(x.versions._clock for x in (c, a, b)) == m.writes
+
+    @pytest.mark.parametrize("fault", ["bounds", "shape"])
+    def test_failed_write_check_writes_nothing(self, fault):
+        """A later write stream whose range runs past its array, or
+        whose payload has the wrong block count, abandons the whole call:
+        the earlier write stream's array is untouched too."""
+        m = EMMachine(64, 4)
+        c, a, b = (m.alloc(4, name) for name in ("c", "a", "b"))
+        for t, arr in enumerate((c, a, b)):
+            arr.load_flat(make_records(np.arange(16) + 100 * t))
+        zeros = np.zeros((4, 4, 2), dtype=np.int64)
+        last, error = {
+            "bounds": (("w", b, (2, 6), lambda reads: reads[0]), OutOfBoundsError),
+            "shape": (("w", b, (0, 4), lambda reads: reads[0][:3]), ValueError),
+        }[fault]
+
+        raw = [x.raw.copy() for x in (c, a, b)]
+        versions = [x.versions.snapshot() for x in (c, a, b)]
+        fingerprint = m.trace.fingerprint()
+        with pytest.raises(error):
+            m.io_rounds([("r", c, (0, 4)), ("w", a, (0, 4), zeros), last])
         for x, before, v in zip((c, a, b), raw, versions):
             assert np.array_equal(x.raw, before)
             assert np.array_equal(x.versions.snapshot(), v)

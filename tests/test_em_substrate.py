@@ -2,12 +2,21 @@
 machine, adversary view."""
 
 import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.em import (
     AccessTrace,
     CacheOverflowError,
@@ -21,7 +30,7 @@ from repro.em import (
     make_records,
     occupancy,
 )
-from repro.em.trace import _CHUNK_EVENTS as _CHUNK, Op
+from repro.em.trace import _CHUNK_EVENTS as _CHUNK, Op, _Window
 
 
 class TestBlocks:
@@ -178,7 +187,7 @@ class TestAccessTrace:
             rows = _rows(rng, _CHUNK)
             t.append_rows(rows)
             whole.update(rows.tobytes())
-            assert t.nbytes == _CHUNK * 3 * 8
+            assert t.nbytes == 2 * _CHUNK * 3 * 8 == 1_572_864  # two staging chunks
         assert len(t) == 10 * _CHUNK
         assert t.fingerprint() == t.fingerprint_pair(mark)[0] == whole.hexdigest()
 
@@ -193,6 +202,147 @@ class TestAccessTrace:
         assert np.array_equal(t.as_array(mark), rows)
         assert t.fingerprint_pair(mark) == (_sha(rows), _sha(_first_appearance(rows)))
         assert t.fingerprint() == _sha(t.as_array())
+
+
+class TestHashingThread:
+    """Full chunks are hashed on one background thread per process."""
+
+    def test_forked_child_hashes_on_its_own_thread(self, monkeypatch):
+        """A child forked while the parent's thread hashes a chunk reads
+        that chunk's digest and hashes its own chunks on its own thread.
+        Without the drain before the fork it would wait forever on the
+        inherited chunk, and without the reset after it, on its first."""
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            pytest.skip("fork is unavailable on this platform")
+        parent_pid, fold = os.getpid(), _Window.fold
+
+        def slow_fold(window, rows):
+            if os.getpid() == parent_pid:  # keep the chunk in flight at the fork
+                time.sleep(0.2)
+            fold(window, rows)
+
+        monkeypatch.setattr(_Window, "fold", slow_fold)
+        started = AccessTrace()
+        head = _rows(np.random.default_rng(6), _CHUNK)
+        started.append_rows(head)  # starts the thread
+        rows = _rows(np.random.default_rng(7), 3 * _CHUNK)
+        receive, send = ctx.Pipe(duplex=False)
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that fork() in a process with threads may
+            # deadlock the child, which is the case under test.
+            warnings.filterwarnings(
+                "ignore", "This process .* is multi-threaded", DeprecationWarning
+            )
+            child = ctx.Process(target=_send_fingerprints, args=(send, started, rows))
+            child.start()
+        send.close()
+        try:
+            digests = receive.recv() if receive.poll(30) else None
+            child.join(30)
+        finally:
+            receive.close()
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert child.exitcode == 0
+        assert digests == (started.fingerprint(), _sha(rows))
+        assert digests[0] == _sha(head)
+
+    def test_threads_share_the_hashing_thread(self):
+        """Four threads, more than the cores here, each own a trace with a
+        window opened mid-chunk and append five chunks in uneven pieces
+        while the interpreter switches threads as often as it can."""
+        results = {}
+
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            t = AccessTrace()
+            head = _rows(rng, _CHUNK // 2 + seed)
+            t.append_rows(head)
+            mark = t.mark()
+            rows = _rows(rng, 5 * _CHUNK)
+            for piece in np.split(rows, np.sort(rng.integers(0, len(rows), 40))):
+                t.append_rows(piece)
+            results[seed] = (t.fingerprint(), t.fingerprint_pair(mark), head, rows)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for whole, pair, head, rows in results.values():
+            assert whole == _sha(np.concatenate([head, rows]))
+            assert pair == (_sha(rows), _sha(_first_appearance(rows)))
+
+    def test_hashing_error_surfaces(self, monkeypatch):
+        """A chunk that fails to hash fails the next digest read and the
+        machine's close, which still frees every array first."""
+        fold = _Window.fold
+
+        def fold_or_fail(window, rows):
+            if window.canonical is not None:  # the marked window's
+                raise RuntimeError("fold failed")
+            fold(window, rows)
+
+        monkeypatch.setattr(_Window, "fold", fold_or_fail)
+        m = EMMachine(64, 4)
+        m.alloc(4, "a")
+        mark = m.trace.mark()
+        m.trace.append_rows(_rows(np.random.default_rng(8), _CHUNK))
+        with pytest.raises(RuntimeError, match="fold failed"):
+            m.trace.fingerprint_pair(mark)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            m.trace.fingerprint()
+        with pytest.raises(RuntimeError, match="fold failed"):
+            m.close()
+        assert not m._arrays
+
+    def test_import_and_untraced_machine_start_no_thread(self):
+        """In a fresh interpreter, importing the library and running an
+        untraced machine past a chunk's worth of I/Os starts no thread;
+        traced machines then start exactly one between them."""
+        code = (
+            "import threading\n"
+            "import repro\n"
+            "from repro.em import EMMachine\n"
+            "def run(trace):\n"
+            "    m = EMMachine(64, 4, trace=trace)\n"
+            "    a = m.alloc(1024)\n"
+            "    for _ in range(80):\n"
+            "        m.read_many(a, (0, 1024))\n"
+            "    m.close()\n"
+            "imported = threading.active_count()\n"
+            "run(False)\n"
+            "untraced = threading.active_count()\n"
+            "run(True)\n"
+            "run(True)\n"
+            "print(imported, untraced, threading.active_count())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout.split() == ["1", "1", "2"]
+
+
+def _send_fingerprints(conn, inherited, rows):
+    """Forked child: send the inherited trace's digest and that of a new
+    trace of ``rows`` (three chunks)."""
+    t = AccessTrace()
+    for piece in np.split(rows, 3):
+        t.append_rows(piece)
+    conn.send((inherited.fingerprint(), t.fingerprint()))
+    conn.close()
 
 
 def _sha(rows):
