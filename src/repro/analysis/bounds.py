@@ -193,8 +193,7 @@ def _cap_covers(params: Mapping, cap: Callable[[int], float]) -> bool:
 
 
 def _select_estimate(n: int, m: int, params: Mapping) -> float:
-    slack = float(params.get("slack", 1.0))
-    if _cap_covers(params, lambda N: 8 * N**0.875 * slack):
+    if _cap_covers(params, lambda N: 8 * N**0.875):
         return _sort_pick_ios(n, m, params, scans=1, compacts=True)
     return _select_ios(n, m)
 
@@ -203,8 +202,7 @@ def _quantiles_estimate(n: int, m: int, params: Mapping) -> float:
     if n + 1 <= m:
         return float(n)  # one read into cache
     q = int(params.get("q", 1))
-    slack = float(params.get("slack", 1.0))
-    if _cap_covers(params, lambda N: min(N, 8 * q * N**0.75) * slack):
+    if _cap_covers(params, lambda N: min(N, 8 * q * N**0.75)):
         return _sort_pick_ios(n, m, params, scans=0, compacts=True)
     return _select_ios(n, m)
 

@@ -520,7 +520,6 @@ def _run_compact(machine, A, n_items, rng, params) -> AlgorithmOutput:
 
 def _compact_sparse(machine, A, n_items, rng, params, name, backend):
     capacity_blocks = params.pop("capacity_blocks", None)
-    backend = params.pop("oram_backend", backend)
     _done(name, params)
     cons = consolidate(machine, A)
     r = (
@@ -584,19 +583,13 @@ def _run_compact_logstar(machine, A, n_items, rng, params) -> AlgorithmOutput:
 
 def _run_select(machine, A, n_items, rng, params) -> AlgorithmOutput:
     k = params.pop("k")
-    compactor = params.pop("compactor", "butterfly")
-    slack = params.pop("slack", 1.0)
     _done("select", params)
-    key, value = select_em(
-        machine, A, n_items, k, rng, compactor=compactor, slack=slack
-    )
+    key, value = select_em(machine, A, n_items, k, rng)
     return AlgorithmOutput(value=(key, value))
 
 
 def _run_select_sorted(machine, A, n_items, rng, params) -> AlgorithmOutput:
     k = params.pop("k")
-    params.pop("compactor", None)  # accepted for select-compatibility
-    params.pop("slack", None)
     _done("select_sorted", params)
     return AlgorithmOutput(value=select_sorted_em(machine, A, n_items, k))
 
@@ -609,15 +602,13 @@ def _run_sort_then_pick(machine, A, n_items, rng, params) -> AlgorithmOutput:
 
 def _run_quantiles(machine, A, n_items, rng, params) -> AlgorithmOutput:
     q = params.pop("q")
-    slack = params.pop("slack", 1.0)
     _done("quantiles", params)
-    keys = quantiles_em(machine, A, n_items, q, rng, slack=slack)
+    keys = quantiles_em(machine, A, n_items, q, rng)
     return AlgorithmOutput(value=keys)
 
 
 def _run_quantiles_sorted(machine, A, n_items, rng, params) -> AlgorithmOutput:
     q = params.pop("q")
-    params.pop("slack", None)  # accepted for quantiles-compatibility
     _done("quantiles_sorted", params)
     return AlgorithmOutput(value=quantiles_sorted_em(machine, A, n_items, q))
 
@@ -642,7 +633,6 @@ def _oram_read_batch(machine, A, n_items, rng, params, name, backend):
     order; duplicate ranks are allowed.
     """
     indices = params.pop("indices")
-    backend = params.pop("oram_backend", backend)
     _done(name, params)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size == 0:
@@ -847,8 +837,8 @@ register(AlgorithmSpec(
     output_order=None,
     out_items=lambda n_items, params: len(params.get("indices", ())),
     # The two backends compute the same function with different cost
-    # shapes (sqrt(n) vs polylog amortized) — the optimizer's first
-    # oram_backend axis, cost-selected per (n, M, B, request length).
+    # shapes (sqrt(n) vs polylog amortized); the optimizer picks the
+    # registered name, and so the backend, per (n, M, B, request length).
     variants=("oram_read_batch", "oram_read_batch_hier"),
     # PRF tag keys come from the session RNG; the batch itself never
     # fails, so this is not a Las Vegas algorithm.

@@ -145,10 +145,6 @@ class ObliviousSession:
 
         return make_source(self, data)
 
-    def pipeline(self, data) -> "Dataset":
-        """Alias of :meth:`dataset`."""
-        return self.dataset(data)
-
     def stream(
         self,
         chunks,

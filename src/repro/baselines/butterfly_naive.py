@@ -34,7 +34,7 @@ def naive_butterfly_compact(machine: EMMachine, A: EMArray) -> EMArray:
     for lo, hi in scan_chunks(machine, n):
         with hold_scan(machine, 1, hi - lo):
             machine.copy_many(A, (lo, hi), work, (lo, hi))
-    labels, _ = _write_labels_scan(machine, work, None)
+    labels, _ = _write_labels_scan(machine, work)
     out_d, out_l = route_em_naive(machine, work, labels)
     machine.free(out_l)
     return out_d

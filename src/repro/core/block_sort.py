@@ -68,18 +68,17 @@ def oblivious_block_sort(
     arrays: Sequence[EMArray],
     *,
     key_fn: KeyFn = _default_key,
-    num_blocks: int | None = None,
     run_blocks: int | None = None,
 ) -> None:
     """Sort blocks in place across one or more parallel arrays.
 
     ``arrays[0]`` carries the key (extracted by ``key_fn``); any further
-    arrays are permuted identically.  All arrays must have at least
-    ``num_blocks`` blocks (default: the length of the first array).
+    arrays are permuted identically.  All arrays must have at least as
+    many blocks as the first, whose length is the sort length.
     """
     if not arrays:
         raise ValueError("need at least one array to sort")
-    n = arrays[0].num_blocks if num_blocks is None else num_blocks
+    n = arrays[0].num_blocks
     for arr in arrays:
         if arr.num_blocks < n:
             raise ValueError(

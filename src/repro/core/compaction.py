@@ -55,6 +55,17 @@ __all__ = [
 
 #: Sort key marking unused output slots (sorts after any real index).
 _INF_KEY = 1 << 62
+#: Hash functions per item of Theorem 4's IBLT (Lemma 1's ``k``).
+_IBLT_K = 3
+#: Theorem 8's constants: ``_C0`` thinning passes per round (Lemma 7
+#: needs ``c0 >= 3``) and regions of ``_C1 * log2(n)`` blocks
+#: (``c1 = d + 2`` gives failure probability ``(N/B)^-(d+1)``).
+_C0 = 3
+_C1 = 4
+#: Theorem 9's initial burst of thinning passes, and the input size
+#: below which it compacts with the butterfly outright.
+_LOGSTAR_C0 = 8
+_LOGSTAR_N0 = 32
 
 
 class CompactionFailure(EMError, LasVegasFailure):
@@ -70,12 +81,12 @@ class AssumptionError(EMError):
     given machine, so the requested algorithm is inapplicable."""
 
 
-def wide_block_ok(n_blocks: int, cache_blocks: int, c1: int = 4) -> bool:
+def wide_block_ok(n_blocks: int, cache_blocks: int) -> bool:
     """Public check of Theorem 8's wide-block/tall-cache precondition:
     a compaction region of ``c1 * log2(n)`` blocks must fit in cache."""
     if n_blocks <= 1:
         return True
-    g = c1 * max(1, math.ceil(math.log2(max(2, n_blocks))))
+    g = _C1 * max(1, math.ceil(math.log2(max(2, n_blocks))))
     return g + 2 <= cache_blocks
 
 
@@ -500,7 +511,6 @@ def tight_compact_sparse(
     r: int,
     rng: np.random.Generator,
     *,
-    k: int = 3,
     table_factor: int = 6,
     oblivious_list: bool = True,
     strict: bool = True,
@@ -528,8 +538,8 @@ def tight_compact_sparse(
     if r < 1:
         raise ValueError(f"capacity r must be >= 1, got {r}")
     B = machine.B
-    m_cells = max(k, table_factor * r)
-    state = _iblt_insert_pass(machine, A, m_cells, k, rng)
+    m_cells = max(_IBLT_K, table_factor * r)
+    state = _iblt_insert_pass(machine, A, m_cells, _IBLT_K, rng)
     if state.inserted > r:
         machine.free(state.meta)
         machine.free(state.payload)
@@ -593,19 +603,14 @@ def loose_compact(
     A: EMArray,
     r: int,
     rng: np.random.Generator,
-    *,
-    c0: int = 3,
-    c1: int = 4,
 ) -> EMArray:
     """Theorem 8: compact ``<= r`` occupied blocks of ``A`` into ``5r``.
 
     ``O(N/B)`` I/Os; not order-preserving.  Requires the paper's density
     bound ``r <= n/4`` and (for the region step) the wide-block +
-    tall-cache regime ``c1 * log2(n) <= M/B``.
-
-    ``c0`` is the number of thinning passes per round (Lemma 7 needs
-    ``c0 >= 3``); ``c1`` scales the region size (``c1 = d + 2`` gives
-    failure probability ``(N/B)^-(d+1)``).
+    tall-cache regime ``c1 * log2(n) <= M/B``.  Each round runs ``c0 =
+    3`` thinning passes, and a region holds ``c1 * log2(n)`` blocks with
+    ``c1 = 4``.
     """
     n = A.num_blocks
     if r < 1:
@@ -614,8 +619,6 @@ def loose_compact(
         raise ValueError(
             f"loose compaction requires R <= N/4 (got r={r}, n={n} blocks)"
         )
-    if c0 < 3:
-        raise ValueError(f"Lemma 7 requires c0 >= 3 thinning rounds, got {c0}")
     m = machine.cache.capacity_blocks
     B = machine.B
     C = machine.alloc(4 * r, f"{A.name}.loose.C")
@@ -627,9 +630,9 @@ def loose_compact(
         int(n / max(1.0, log_base(n, max(2, m)) ** 2)),
     )
     while work.num_blocks > max(final_threshold, m - 2):
-        thinning_rounds(machine, work, C, c0, rng)
+        thinning_rounds(machine, work, C, _C0, rng)
         n_cur = work.num_blocks
-        g = min(n_cur, c1 * max(1, math.ceil(math.log2(max(2, n_cur)))))
+        g = min(n_cur, _C1 * max(1, math.ceil(math.log2(max(2, n_cur)))))
         if g + 2 > m:
             raise AssumptionError(
                 f"region of {g} blocks exceeds cache of {m} blocks — "
@@ -651,7 +654,7 @@ def loose_compact(
                     machine.free(nxt)
                     raise CompactionFailure(
                         f"region kept {len(occupied)} > {half} blocks after "
-                        f"{c0} thinning rounds (Lemma 7 tail event)"
+                        f"{_C0} thinning rounds (Lemma 7 tail event)"
                     )
                 outb = empty_blocks(half, B)
                 outb[: len(occupied)] = occupied
@@ -660,7 +663,7 @@ def loose_compact(
         work = nxt
 
     # Final stage: fully compact the small remainder into r blocks.
-    thinning_rounds(machine, work, C, c0, rng)
+    thinning_rounds(machine, work, C, _C0, rng)
     E = machine.alloc(r, f"{A.name}.loose.E")
     if work.num_blocks + 1 <= m:
         with machine.cache.hold(work.num_blocks):
@@ -703,41 +706,36 @@ def loose_compact_logstar(
     r: int,
     rng: np.random.Generator,
     *,
-    c0: int = 8,
     tower_base: int = 4,
-    n0: int = 32,
-    region_compactor: str = "butterfly",
     oblivious_list: bool = False,
 ) -> EMArray:
     """Theorem 9: loose compaction into ``ceil(4.25 r)`` blocks using
     ``O((N/B) log*(N/B))`` I/Os and only ``B >= 1``, ``M >= 2B``.
 
-    Follows Appendix B: an initial burst of ``c0`` thinning passes, then
-    tower-of-twos phases, each consisting of a *thinning-out* step
+    Follows Appendix B: an initial burst of ``c0 = 8`` thinning passes,
+    then tower-of-twos phases, each consisting of a *thinning-out* step
     (through a shrinking auxiliary array ``C_i``) and a
     *region-compaction* step that compacts regions of ``2^{4 t_i}`` cells
-    and thins the compacted prefixes into the output.
+    with the butterfly (Theorem 6; the paper uses Theorem 4 there) and
+    thins the compacted prefixes into the output.  Inputs below 32
+    blocks are butterfly-compacted outright.
 
     ``tower_base`` sets ``t_1`` (the paper uses ``t_1 = 2^2 = 4``; tests
     use 2 so that a phase actually executes at laptop scale — with the
     paper's value the phase condition ``r/t_i^4 > n/log^2 n`` only
-    triggers beyond ``n ~ 2^32``).  ``region_compactor`` selects the
-    per-region tight compactor: ``"butterfly"`` (deterministic, default)
-    or ``"iblt"`` (the paper's Theorem-4 choice).  ``oblivious_list``
-    routes every Theorem-4 subroutine's peel through the ORAM simulation
-    (the paper's fully-oblivious construction); the default ``False``
-    keeps the historical fast direct peel, whose access pattern reveals
-    which blocks were occupied — callers needing a data-independent
-    transcript (e.g. the ``compact_logstar`` registry entry) must pass
-    ``True``.
+    triggers beyond ``n ~ 2^32``).  ``oblivious_list`` routes the peel
+    of both Theorem-4 subroutines (the sparse base case and the final
+    tail) through the ORAM simulation (the paper's fully-oblivious
+    construction); the default ``False`` keeps the historical fast
+    direct peel, whose access pattern reveals which blocks were
+    occupied — callers needing a data-independent transcript (e.g. the
+    ``compact_logstar`` registry entry) must pass ``True``.
     """
     n = A.num_blocks
     if r < 1:
         raise ValueError(f"capacity r must be >= 1, got {r}")
     if 4 * r > n:
         raise ValueError(f"requires R <= N/4 (got r={r}, n={n} blocks)")
-    if region_compactor not in ("butterfly", "iblt"):
-        raise ValueError(f"unknown region_compactor {region_compactor!r}")
     B = machine.B
     tail_cap = max(1, ceil_div(r, 4))
     out_cap = 4 * r + tail_cap
@@ -747,7 +745,7 @@ def loose_compact_logstar(
         tight = tight_compact(machine, work, out_cap)
         return tight
 
-    if n < n0:
+    if n < _LOGSTAR_N0:
         return finish_small(A)
 
     log2n_sq = max(1.0, math.log2(n)) ** 2
@@ -763,7 +761,7 @@ def loose_compact_logstar(
 
     D_main = machine.alloc(4 * r, f"{A.name}.lstar.D")
     work = copy_array(machine, A, f"{A.name}.lstar.work")
-    thinning_rounds(machine, work, D_main, c0, rng)
+    thinning_rounds(machine, work, D_main, _LOGSTAR_C0, rng)
 
     t_i = tower_base
     phase = 1
@@ -787,17 +785,7 @@ def loose_compact_logstar(
             size = min(region, n_w - lo)
             reg_arr = machine.alloc(size, f"{A.name}.lstar.reg")
             copy_blocks(machine, work, lo, reg_arr, 0, size)
-            if region_compactor == "butterfly":
-                compacted = butterfly_compact(machine, reg_arr)
-            else:
-                compacted, _ok = tight_compact_sparse(  # oblint: public(compacted) -- array handle with public capacity
-                    machine,
-                    reg_arr,
-                    min(r_i, size),
-                    rng,
-                    oblivious_list=oblivious_list,
-                    strict=False,
-                )
+            compacted = butterfly_compact(machine, reg_arr)
             # Copy the compacted region back over its slot in `work`; the
             # prefix A'_j is what the thinning below will draw from, and
             # overflow blocks (over-crowded regions) simply stay behind

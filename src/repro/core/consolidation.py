@@ -30,14 +30,6 @@ __all__ = [
     "multiway_consolidate",
 ]
 
-#: In-cache predicate: records ``(k, 2)`` -> boolean mask of distinguished.
-RecordPredicate = Callable[[np.ndarray], np.ndarray]
-
-
-def _nonempty(records: np.ndarray) -> np.ndarray:
-    return ~is_empty(records)
-
-
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Where each group starts when groups of ``counts`` lie end to end."""
     return np.cumsum(counts) - counts
@@ -63,17 +55,13 @@ class ConsolidationResult:
     num_full_blocks: int
 
 
-def consolidate(
-    machine: EMMachine,
-    A: EMArray,
-    *,
-    distinguished_fn: RecordPredicate = _nonempty,
-) -> ConsolidationResult:
+def consolidate(machine: EMMachine, A: EMArray) -> ConsolidationResult:
     """Consolidate distinguished records of ``A`` into full blocks (Lemma 3).
 
-    Returns an array of ``A.num_blocks + 1`` blocks, each either full of
-    distinguished records or containing none (the final block may be
-    partial).  The relative order of distinguished records is preserved.
+    A record is distinguished when it is not empty.  Returns an array of
+    ``A.num_blocks + 1`` blocks, each either full of distinguished
+    records or containing none (the final block may be partial).  The
+    relative order of distinguished records is preserved.
     Uses exactly ``A.num_blocks`` reads and ``A.num_blocks + 1`` writes —
     a plain scan, trivially data-oblivious.
 
@@ -96,12 +84,7 @@ def consolidate(
                 nonlocal pending, count, full_blocks
                 blocks = reads[0]
                 k = len(blocks)
-                if distinguished_fn is _nonempty:
-                    masks = ~is_empty(blocks)
-                else:
-                    masks = np.stack([
-                        np.asarray(distinguished_fn(b), dtype=bool) for b in blocks
-                    ])
+                masks = ~is_empty(blocks)
                 per_block = masks.sum(axis=1)
                 count += int(per_block.sum())
                 # All distinguished records of the chunk, in scan order,

@@ -91,10 +91,10 @@ def _ranked_keys_scan(machine: EMMachine, arr: EMArray, wanted) -> dict[int, int
     return {rank: kv[0] for rank, kv in picked.items()}
 
 
-def _marked_cap(n: int, q: int, slack: float) -> int:
+def _marked_cap(n: int, q: int) -> int:
     """Capacity of step 4's bracketed set (Lemma 15): ``8 q N^{3/4}``,
     at most ``N``."""
-    return int(math.ceil(min(n, 8 * q * n**0.75) * slack))
+    return int(math.ceil(min(n, 8 * q * n**0.75)))
 
 
 def quantiles_em(
@@ -104,20 +104,18 @@ def quantiles_em(
     q: int,
     rng: np.random.Generator,
     *,
-    slack: float = 1.0,
-    enforce_model_bound: bool = False,
     report: bool = False,
 ) -> np.ndarray | QuantileReport:
     """Return the ``q`` quantile keys of ``A`` (Theorem 17).
 
-    ``enforce_model_bound=True`` rejects ``q > (M/B)^{1/4}`` (the paper's
-    hypothesis); by default any ``q >= 1`` is accepted — useful on small
-    test machines where the fourth root is tiny.
+    Any ``q >= 1`` is accepted, also above the paper's hypothesis
+    ``q <= (M/B)^{1/4}`` — useful on small test machines where the
+    fourth root is tiny.
 
     An ``A`` that fits in cache is sorted there.  Otherwise, when step
-    4's cap covers ``N`` (``N <= (8 q)^4`` at ``slack=1``), every item is
-    sorted directly (:func:`compact_and_sort`) and the quantiles read off
-    at their public ranks; the report's ``sample_size`` is then 0 and
+    4's cap covers ``N`` (``N <= (8 q)^4``), every item is sorted
+    directly (:func:`compact_and_sort`) and the quantiles read off at
+    their public ranks; the report's ``sample_size`` is then 0 and
     ``marked`` is ``N``.  Larger inputs take the sampling path,
     :func:`_quantiles_sampled`.
     """
@@ -125,14 +123,8 @@ def quantiles_em(
         raise ValueError(f"need q >= 1 quantiles, got {q}")
     if n_items < q:
         raise ValueError(f"cannot take {q} quantiles of {n_items} items")
-    m = machine.cache.capacity_blocks
-    if enforce_model_bound and q > max(1.0, m**0.25):
-        raise ValueError(
-            f"Theorem 17 requires q <= (M/B)^(1/4) = {m ** 0.25:.2f}, got {q}"
-        )
-
     # Everything fits in private memory — sort there.
-    if A.num_blocks + 1 <= m:
+    if A.num_blocks + 1 <= machine.cache.capacity_blocks:
         targets = _target_ranks(n_items, q)
         with machine.cache.hold(A.num_blocks):
             records = machine.read_many(A, (0, A.num_blocks)).reshape(
@@ -145,11 +137,11 @@ def quantiles_em(
             return QuantileReport(keys, sample_size=0, marked=0)
         return keys
 
-    if _marked_cap(n_items, q, slack) < n_items:
-        return _quantiles_sampled(machine, A, n_items, q, rng, slack=slack, report=report)
+    if _marked_cap(n_items, q) < n_items:
+        return _quantiles_sampled(machine, A, n_items, q, rng, report=report)
 
     # The bracket cap covers every item: sort them all.
-    D_sorted = compact_and_sort(machine, A, n_items, rng)
+    D_sorted = compact_and_sort(machine, A, n_items)
     try:
         keys = quantiles_sorted_em(machine, D_sorted, n_items, q)
     finally:
@@ -166,7 +158,6 @@ def _quantiles_sampled(
     q: int,
     rng: np.random.Generator,
     *,
-    slack: float = 1.0,
     report: bool = False,
 ) -> np.ndarray | QuantileReport:
     """Theorem 17's sampling path, steps 2-4 (see the module docstring).
@@ -180,7 +171,7 @@ def _quantiles_sampled(
 
     # Step 2: sample at rate N^(-1/4).
     p = n**-0.25
-    cap_sample = int(math.ceil((n**0.75 + n**0.5) * slack))
+    cap_sample = int(math.ceil(n**0.75 + n**0.5))
     sample_out = machine.alloc(A.num_blocks, f"{A.name}.qsample")
     c_s = 0
     for lo, hi in scan_chunks(machine, A.num_blocks, streams=2):
@@ -279,7 +270,7 @@ def _quantiles_sampled(
                 [("r", A, (lo, hi)), ("w", marked, (lo, hi), classified)]
             )
 
-    cap_marked = _marked_cap(n, q, slack)
+    cap_marked = _marked_cap(n, q)
     if c_marked > cap_marked:
         machine.free(marked)
         raise QuantileFailure(

@@ -31,8 +31,8 @@ Every step is a scan, a compaction, or an oblivious sort, so the access
 pattern is a fixed function of ``(n, M, B)``.  The probabilistic size
 bounds of the sampling path can fail (Lemmas 10-11); failures are
 detected privately and raise :class:`SelectionFailure` — callers may
-retry with fresh randomness.  The direct branch draws no randomness
-beyond its compactor's and cannot fail this way.
+retry with fresh randomness.  The direct branch draws no randomness and
+cannot fail this way.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core._helpers import ranked_records_scan
-from repro.core.compaction import tight_compact, tight_compact_sparse
+from repro.core.compaction import tight_compact
 from repro.core.consolidation import consolidate
 from repro.core.external_sort import oblivious_external_sort
 from repro.em.batch import hold_scan, scan_chunks
@@ -138,36 +138,22 @@ def _mark_scan(
 
 
 def _compact_records(
-    machine: EMMachine,
-    marked: EMArray,
-    cap_records: int,
-    rng: np.random.Generator,
-    compactor: str,
+    machine: EMMachine, marked: EMArray, cap_records: int
 ) -> EMArray:
-    """Consolidate + tight-compact marked records into ``cap_records``.
+    """Consolidate + tight-compact (Theorem 6) marked records into
+    ``cap_records``.
 
     Returns an array of ``ceil(cap_records / B) + 1`` blocks.  The +1
     absorbs the partial block that consolidation leaves at the end.
     """
     cons = consolidate(machine, marked)
     cap_blocks = ceil_div(max(1, cap_records), machine.B) + 1
-    if compactor == "iblt":
-        out = tight_compact_sparse(machine, cons.array, cap_blocks, rng)
-    elif compactor == "butterfly":
-        out = tight_compact(machine, cons.array, cap_blocks)
-    else:
-        raise ValueError(f"unknown compactor {compactor!r}")
+    out = tight_compact(machine, cons.array, cap_blocks)
     machine.free(cons.array)
     return out
 
 
-def compact_and_sort(
-    machine: EMMachine,
-    A: EMArray,
-    n_items: int,
-    rng: np.random.Generator,
-    compactor: str = "butterfly",
-) -> EMArray:
+def compact_and_sort(machine: EMMachine, A: EMArray, n_items: int) -> EMArray:
     """Lemma 2 sort of every record of ``A``, empties last.
 
     A sparse ``A`` is compacted first (consolidation + tight compaction
@@ -180,16 +166,16 @@ def compact_and_sort(
     """
     if A.num_blocks <= ceil_div(n_items, machine.B) + 3:
         return oblivious_external_sort(machine, A)
-    D = _compact_records(machine, A, n_items, rng, compactor)
+    D = _compact_records(machine, A, n_items)
     try:
         return oblivious_external_sort(machine, D)
     finally:
         machine.free(D)
 
 
-def _bracket_cap(n: int, slack: float) -> int:
+def _bracket_cap(n: int) -> int:
     """Capacity of step 5's candidate set (Lemma 11): ``8 n^{7/8}``."""
-    return int(math.ceil(8 * n**0.875 * slack))
+    return int(math.ceil(8 * n**0.875))
 
 
 def _sorted_rank_pick(
@@ -208,20 +194,14 @@ def select_em(
     k: int,
     rng: np.random.Generator,
     *,
-    compactor: str = "butterfly",
-    slack: float = 1.0,
     report: bool = False,
 ) -> tuple[int, int] | SelectionReport:
     """Select the ``k``-th smallest item (1-based) of ``A`` (Theorem 13).
 
-    ``n_items`` is the (public) number of real records in ``A``.
-    ``compactor`` picks the tight-compaction substrate: ``"butterfly"``
-    (Theorem 6, deterministic, default) or ``"iblt"`` (Theorem 4, the
-    paper's linear-I/O choice).  ``slack`` scales the probabilistic
-    capacity bounds — useful at small ``n`` where the paper's asymptotic
-    constants are tight.
+    ``n_items`` is the (public) number of real records in ``A``.  Every
+    compaction is Theorem 6's butterfly.
 
-    When step 5's candidate cap covers ``n`` (``n <= (8 slack)^8``), the
+    When step 5's candidate cap covers ``n`` (``n <= 8^8``), the
     sampling cannot shrink the candidate set, so every item is sorted
     directly (:func:`compact_and_sort`) and rank ``k`` read off; the
     report's ``sample_size`` is then 0 and ``candidate_size`` is ``n``.
@@ -232,12 +212,10 @@ def select_em(
     """
     if not (1 <= k <= n_items):
         raise ValueError(f"rank k={k} out of range [1, {n_items}]")
-    if _bracket_cap(n_items, slack) < n_items:
-        return _select_sampled(
-            machine, A, n_items, k, rng, compactor=compactor, slack=slack, report=report
-        )
+    if _bracket_cap(n_items) < n_items:
+        return _select_sampled(machine, A, n_items, k, rng, report=report)
     _scan_checked(machine, A, n_items)
-    D_sorted = compact_and_sort(machine, A, n_items, rng, compactor)
+    D_sorted = compact_and_sort(machine, A, n_items)
     try:
         key, value = select_sorted_em(machine, D_sorted, n_items, k)
     finally:
@@ -254,8 +232,6 @@ def _select_sampled(
     k: int,
     rng: np.random.Generator,
     *,
-    compactor: str = "butterfly",
-    slack: float = 1.0,
     report: bool = False,
 ) -> tuple[int, int] | SelectionReport:
     """Theorem 13's sampling path, steps 1-5 (see the module docstring).
@@ -279,7 +255,7 @@ def _select_sampled(
         return rng.random(draws_per_block) < p
 
     S, c_s = _mark_scan(machine, A, sample_fn, f"{A.name}.sample")
-    cap_sample = int(math.ceil((sqrt_n + n**0.375) * slack))
+    cap_sample = int(math.ceil(sqrt_n + n**0.375))
     if c_s > cap_sample or c_s < 1:
         machine.free(S)
         raise SelectionFailure(
@@ -287,7 +263,7 @@ def _select_sampled(
         )
 
     # Step 2: compact + sort the sample; pick the bracket.
-    C = _compact_records(machine, S, cap_sample, rng, compactor)
+    C = _compact_records(machine, S, cap_sample)
     machine.free(S)
     C_sorted = oblivious_external_sort(machine, C)
     machine.free(C)
@@ -317,7 +293,7 @@ def _select_sampled(
 
     T, c_t = _mark_scan(machine, A, bracket_fn, f"{A.name}.bracket")
     candidates = c_t
-    cap_bracket = _bracket_cap(n, slack)
+    cap_bracket = _bracket_cap(n)
     if c_t > cap_bracket:
         machine.free(T)
         raise SelectionFailure(
@@ -331,7 +307,7 @@ def _select_sampled(
         )
 
     # Step 5: compact + sort the candidates; read off the answer.
-    D = _compact_records(machine, T, min(cap_bracket, n), rng, compactor)
+    D = _compact_records(machine, T, min(cap_bracket, n))
     machine.free(T)
     D_sorted = oblivious_external_sort(machine, D)
     machine.free(D)

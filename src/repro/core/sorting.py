@@ -16,19 +16,27 @@ Pipeline per recursion level (following §5):
 3. **Shuffle-and-deal** — Knuth-shuffle the blocks, then deal them to one
    array per colour in fixed-size batches with fixed per-colour padding
    (Lemma 18 / Corollary 19 bound the per-batch colour counts).
-4. **Loose compaction** — shrink each colour array to ``O(N/(qB))``
-   blocks (Theorem 8), when that actually shrinks it.
+4. **Compaction** — shrink each colour array to its occupied-block
+   bound.  This is the first deviation from §5, which loose-compacts
+   here (Theorem 8).  Every colour array longer than its bound is
+   tight-compacted with the butterfly (Theorem 6) instead.  A dense
+   input's deal pads a colour array to less than the 5× its bound that
+   Theorem 8 needs (at most 4.74× over 280 dense sorts at ``M/B`` from
+   16 to 256), so Theorem 8 could run only on sparse layouts at
+   ``M/B >= 64``.  There it returns ``5R`` blocks, the next level is
+   sparse again, and the whole sort cost 6.0–8.7× the I/Os of the
+   butterfly path (2,730 records in 8,192 cells at ``M=256, B=4``:
+   2,060,004 against 291,851).
 5. **Recurse** per colour; small subproblems sort inside private memory.
 6. **Concatenation** — the colour results, in colour order.  This is
-   the one deviation from §5, which runs a failure sweep here
+   the second deviation from §5, which runs a failure sweep here
    (Lemma 20) so that a failed subproblem is repaired in place of a
-   retry.  Here every failure site (the quantile caps, the deal's
-   per-colour bound, compaction) raises instead, and the whole attempt
-   retries, so no subproblem can return unsorted output and the sweep
-   would repair nothing.  Per-site failures plus whole-attempt retry
-   replace the sweep; the per-attempt bound is unchanged.  The sweep
-   itself remains a standalone primitive in
-   :mod:`repro.core.failure_sweep`.
+   retry.  Here every failure site (the quantile caps and the deal's
+   per-colour bound) raises instead, and the whole attempt retries, so
+   no subproblem can return unsorted output and the sweep would repair
+   nothing.  Per-site failures plus whole-attempt retry replace the
+   sweep; the per-attempt bound is unchanged.  The sweep itself
+   remains a standalone primitive in :mod:`repro.core.failure_sweep`.
 7. **Final tight compaction** — consolidate (Lemma 3) + butterfly
    (Theorem 6) produce the dense sorted output.
 
@@ -45,12 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core._helpers import concat_arrays
-from repro.core.compaction import (
-    CompactionFailure,
-    loose_compact,
-    tight_compact,
-    wide_block_ok,
-)
+from repro.core.compaction import CompactionFailure, tight_compact
 from repro.core.consolidation import consolidate, multiway_consolidate
 from repro.core.external_sort import oblivious_external_sort
 from repro.core.quantiles import QuantileFailure, quantiles_em
@@ -76,9 +79,10 @@ class SortFailure(EMError, LasVegasFailure):
     The paper bounds an attempt's failure probability by ``(N/B)^{-d}``.
     Below ``(8q)^4`` records the pivot step sorts every item directly
     (:func:`~repro.core.quantiles.quantiles_em`) and has no failure site,
-    so only the deal's per-colour bound and compaction can fail: 40 sorts
-    of 2,048 distinct keys at ``M=128, B=4`` and twelve of 16,384 at
-    ``M=256, B=8`` all succeeded on their first attempt.  Above that
+    and the butterfly compactions cannot overflow their bounds, so only
+    the deal's per-colour bound can fail: 40 sorts of 2,048 distinct
+    keys at ``M=128, B=4`` and twelve of 16,384 at ``M=256, B=8`` all
+    succeeded on their first attempt.  Above that
     size the quantile caps apply Lemma 14's top-level formula to every
     subproblem, which fails far more often than the paper's bound;
     deriving them from an explicit failure budget is an open item in
@@ -165,7 +169,7 @@ def _sort_padded(
     )
     machine.free(mc.array)
 
-    # 4 + 5. Loose-compact (when it shrinks) and recurse per colour.
+    # 4 + 5. Compact to the occupied-block bound and recurse per colour.
     results: list[EMArray] = []
     for c in range(colors):
         C_c = deal.arrays[c]
@@ -176,17 +180,8 @@ def _sort_padded(
             )
         # The deal pads each colour array; compaction must undo that
         # inflation or the recursion's block counts grow geometrically.
-        # Use Theorem 8 (linear I/O) when its preconditions hold and it
-        # shrinks; otherwise fall back to the deterministic butterfly
-        # (Theorem 6) — same obliviousness, a log_m factor more I/Os.
-        if (
-            5 * r_c < C_c.num_blocks
-            and 4 * r_c <= C_c.num_blocks
-            and wide_block_ok(C_c.num_blocks, m)
-        ):
-            D_c = loose_compact(machine, C_c, r_c, child_rng(rng, 2000 + depth * 64 + c))
-            machine.free(C_c)
-        elif r_c < C_c.num_blocks:
+        # Theorem 6's butterfly shrinks it to the bound (step 4 above).
+        if r_c < C_c.num_blocks:
             D_c = tight_compact(machine, C_c, r_c)
             machine.free(C_c)
         else:
@@ -331,8 +326,9 @@ def oblivious_sort(
     (the sentinel key).
 
     Stable: equal keys keep their input order (a by-product of the
-    distinctness transform).  On a probabilistic failure the sort retries
-    with fresh randomness, up to ``retries`` times.
+    distinctness transform).  On a probabilistic failure the sort frees
+    every array the failed attempt allocated and retries with fresh
+    randomness, up to ``retries`` times.
     """
     if n_items < 0:
         raise ValueError(f"n_items must be non-negative, got {n_items}")
@@ -349,6 +345,7 @@ def oblivious_sort(
     last_error: Exception | None = None
     for attempt in range(max(1, retries)):
         stats.attempts = attempt + 1
+        before = set(machine._arrays)
         try:
             tagged, keyspace = _distinctify(
                 machine, A, n_items, pad_fill if padded else None
@@ -367,7 +364,10 @@ def oblivious_sort(
             return out
         except _RETRYABLE as exc:  # noqa: PERF203
             last_error = exc
-            continue
+            # Free what the failed attempt allocated, in the order the
+            # session's executor sweeps a failed step.
+            for array_id in set(machine._arrays) - before:
+                machine.free(machine._arrays[array_id])
     raise SortFailure(
         f"oblivious sort failed after {retries} attempts: {last_error}"
     )

@@ -65,12 +65,12 @@ class CiphertextVersions:
         )
         self._clock += k
 
-    def reencrypt_range(self, lo: int, hi: int, step: int = 1) -> None:
-        """:meth:`reencrypt_many` for the (strided) range ``[lo, hi)``."""
-        k = len(range(lo, hi, step)) if hi > lo else 0
+    def reencrypt_range(self, lo: int, hi: int) -> None:
+        """:meth:`reencrypt_many` for the range ``[lo, hi)``."""
+        k = hi - lo
         if k <= 0:
             return
-        self._versions[lo:hi:step] = np.arange(
+        self._versions[lo:hi] = np.arange(
             self._clock + 1, self._clock + k + 1, dtype=np.int64
         )
         self._clock += k

@@ -54,8 +54,8 @@ __all__ = ["EMMachine", "IOMeter", "IOStep"]
 
 #: One stream of a fused :meth:`EMMachine.io_rounds` batch: ``("r", arr,
 #: indices)`` or ``("w", arr, indices, blocks_or_fn)``.  ``indices`` is a
-#: ``(lo, hi[, step])`` range or a 1-D index array (one block per round),
-#: or a ``(k, w)`` index matrix (a wide stream: a run of ``w`` blocks per
+#: ``(lo, hi)`` range or a 1-D index array (one block per round), or a
+#: ``(k, w)`` index matrix (a wide stream: a run of ``w`` blocks per
 #: round).
 IOStep = tuple
 
@@ -64,27 +64,27 @@ _OP_WRITE = int(Op.WRITE)
 
 
 def _parse(indices, wide: bool = False) -> tuple:
-    """``(lo, hi, step, idx, k)`` of one stream's indices: a ``(lo, hi[,
-    step])`` range (``idx`` None) or an int64 index array, 1-D or, when
-    ``wide``, a ``(k, w)`` matrix."""
+    """``(lo, hi, idx, k)`` of one stream's indices: a ``(lo, hi)`` range
+    (``idx`` None) or an int64 index array, 1-D or, when ``wide``, a
+    ``(k, w)`` matrix."""
     if type(indices) is tuple:
-        lo, hi, st = indices if len(indices) == 3 else (*indices, 1)
-        return lo, hi, st, None, len(range(lo, hi, st)) if hi > lo else 0
+        lo, hi = indices
+        return lo, hi, None, max(0, hi - lo)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 and (idx.ndim != 2 or not wide):
         form = "1-D or (k, w)" if wide else "1-D"
         raise ValueError(f"indices must be {form}, got shape {idx.shape}")
-    return 0, 0, 1, idx, len(idx)
+    return 0, 0, idx, len(idx)
 
 
 def _checked_write(group: list, k: int) -> tuple:
     """One array's write streams in a ``k``-round call as one write
-    ``(arr, lo, hi, step, idx, blocks)``, its bounds and block shapes
+    ``(arr, lo, hi, idx, blocks)``, its bounds and block shapes
     checked.  A lone range or 1-D index stream stays as it is; several
     streams, or a wide one, become one scatter laid out round by round,
     then stream by stream, then column by column: the scalar loop's
     write order.  ``group`` holds ``(stream, blocks)`` pairs."""
-    (_, arr, lo, hi, st, idx, _), blocks = group[0]
+    (_, arr, lo, hi, idx, _), blocks = group[0]
     B = arr.B
     if len(group) == 1 and (idx is None or idx.ndim == 1):
         if blocks.shape != (k, B, RECORD_WIDTH):
@@ -92,14 +92,14 @@ def _checked_write(group: list, k: int) -> tuple:
                 f"blocks shape {blocks.shape} does not match {(k, B, RECORD_WIDTH)}"
             )
         if idx is None:
-            arr._check_range(lo, hi, st)
+            arr._check_range(lo, hi)
         else:
             arr._check_many(idx)
-        return arr, lo, hi, st, idx, blocks
+        return arr, lo, hi, idx, blocks
     mats, stacks = [], []
-    for (_, _, lo, hi, st, idx, _), blocks in group:
+    for (_, _, lo, hi, idx, _), blocks in group:
         if idx is None:
-            idx = np.arange(lo, hi, st)
+            idx = np.arange(lo, hi)
         shape = idx.shape + (B, RECORD_WIDTH)
         if blocks.shape != shape:
             raise ValueError(f"blocks shape {blocks.shape} does not match {shape}")
@@ -110,7 +110,7 @@ def _checked_write(group: list, k: int) -> tuple:
         stacks = [np.concatenate(stacks, axis=1)]
     idx = mats[0].reshape(-1)
     arr._check_many(idx)
-    return arr, 0, 0, 1, idx, stacks[0].reshape(-1, B, RECORD_WIDTH)
+    return arr, 0, 0, idx, stacks[0].reshape(-1, B, RECORD_WIDTH)
 
 
 @dataclass
@@ -392,24 +392,24 @@ class EMMachine:
     # -- batched block I/O -------------------------------------------------
     #
     # Every batched entry point accepts either an explicit int64 index
-    # array or a contiguous ``(lo, hi)`` / strided ``(lo, hi, step)`` range
-    # tuple.  Ranges are the fast path: O(1) bounds checks and slice-based
-    # gather/scatter instead of fancy indexing — the dominant case, since
-    # hot loops scan in chunks.  :meth:`read_many`, :meth:`write_many`,
+    # array or a contiguous ``(lo, hi)`` range tuple.  Ranges are the
+    # fast path: O(1) bounds checks and slice-based gather/scatter
+    # instead of fancy indexing — the dominant case, since hot loops
+    # scan in chunks.  :meth:`read_many`, :meth:`write_many`,
     # :meth:`copy_many` and :meth:`io_rounds` parse their streams and hand
     # them to one core, :meth:`_rounds`.
 
     def read_many(self, arr: EMArray, indices) -> np.ndarray:
         """Read the indexed blocks (``k`` I/Os) as ``(k, B, 2)``.
 
-        ``indices`` is a 1-D index array or a ``(lo, hi[, step])`` range
-        tuple.  The trace records one READ per index, in index order —
+        ``indices`` is a 1-D index array or a ``(lo, hi)`` range tuple.
+        The trace records one READ per index, in index order —
         identical to a scalar ``read`` loop.  Callers must chunk requests
         so the returned blocks fit the private memory they have reserved.
         """
         self._own(arr)
-        lo, hi, st, idx, k = _parse(indices)
-        return self._rounds([("r", arr, lo, hi, st, idx, None)], k, False)[0]
+        lo, hi, idx, k = _parse(indices)
+        return self._rounds([("r", arr, lo, hi, idx, None)], k, False)[0]
 
     def write_many(self, arr: EMArray, indices, blocks: np.ndarray) -> None:
         """Write ``blocks[t]`` to block ``indices[t]`` (``k`` I/Os).
@@ -418,8 +418,8 @@ class EMMachine:
         behave like the equivalent sequential loop (last write wins).
         """
         self._own(arr)
-        lo, hi, st, idx, k = _parse(indices)
-        self._rounds([("w", arr, lo, hi, st, idx, blocks)], k, True)
+        lo, hi, idx, k = _parse(indices)
+        self._rounds([("w", arr, lo, hi, idx, blocks)], k, True)
 
     def copy_many(self, src: EMArray, src_indices, dst: EMArray, dst_indices) -> None:
         """Fused ``write(dst, d[t], read(src, s[t]))`` loop (``2k`` I/Os).
@@ -431,14 +431,14 @@ class EMMachine:
         """
         self._own(src)
         self._own(dst)
-        s_lo, s_hi, s_st, sidx, k = _parse(src_indices)
-        d_lo, d_hi, d_st, didx, kd = _parse(dst_indices)
+        s_lo, s_hi, sidx, k = _parse(src_indices)
+        d_lo, d_hi, didx, kd = _parse(dst_indices)
         if kd != k:
             raise ValueError(f"source and destination counts differ ({k} != {kd})")
         self._rounds(
             [
-                ("r", src, s_lo, s_hi, s_st, sidx, None),
-                ("w", dst, d_lo, d_hi, d_st, didx, lambda reads: reads[0]),
+                ("r", src, s_lo, s_hi, sidx, None),
+                ("w", dst, d_lo, d_hi, didx, lambda reads: reads[0]),
             ],
             k,
             True,
@@ -455,12 +455,10 @@ class EMMachine:
         position is re-encrypted per write, in write order.
         """
         self._own(arr)
-        if type(left) is tuple:
-            left = np.arange(*left, dtype=np.int64)
-        if type(right) is tuple:
-            right = np.arange(*right, dtype=np.int64)
-        lidx = _parse(left)[3]
-        ridx = _parse(right)[3]
+        lidx, ridx = (
+            np.arange(lo, hi, dtype=np.int64) if idx is None else idx
+            for lo, hi, idx, _ in (_parse(left), _parse(right))
+        )
         if len(lidx) != len(ridx):
             raise ValueError(
                 f"left and right counts differ ({len(lidx)} != {len(ridx)})"
@@ -508,10 +506,10 @@ class EMMachine:
         ``steps`` is a sequence of ``("r", arr, indices)`` read streams
         and ``("w", arr, indices, blocks)`` write streams whose indices
         all share one round count ``k``.  A stream's indices are a 1-D
-        int64 array or a ``(lo, hi[, step])`` range (one block per
-        round), or a ``(k, w)`` int64 matrix: a *wide* stream, whose round
-        ``u`` covers the ``w`` blocks ``idx[u, 0], ..., idx[u, w-1]`` in
-        that order (each wide stream has its own ``w``, which may be 0).
+        int64 array or a ``(lo, hi)`` range (one block per round), or a
+        ``(k, w)`` int64 matrix: a *wide* stream, whose round ``u``
+        covers the ``w`` blocks ``idx[u, 0], ..., idx[u, w-1]`` in that
+        order (each wide stream has its own ``w``, which may be 0).
         The emitted events are::
 
             step0[0], step1[0], ..., stepT[0], step0[1], step1[1], ...
@@ -566,14 +564,14 @@ class EMMachine:
                 raise ValueError(f"unknown io_rounds step kind {kind!r}")
             arr = step[1]
             self._own(arr)
-            lo, hi, st, idx, kk = _parse(step[2], wide=True)
+            lo, hi, idx, kk = _parse(step[2], wide=True)
             if k < 0:
                 k = kk
             elif kk != k:
                 raise ValueError(
                     f"io_rounds streams disagree on length ({kk} != {k})"
                 )
-            streams.append((kind, arr, lo, hi, st, idx, payload))
+            streams.append((kind, arr, lo, hi, idx, payload))
         if k == 0:
             return [None for _ in streams]
         return self._rounds(streams, k, writes)
@@ -629,19 +627,19 @@ class EMMachine:
     def _rounds(self, streams: list, k: int, writes: bool) -> list[np.ndarray | None]:
         """The engine core: run parsed streams of ``k`` rounds each.
 
-        A stream is ``(kind, arr, lo, hi, step, idx, payload)``, with
-        ``idx`` None for a range; ``writes`` says whether any stream
-        writes.  Range streams move by slice and index streams by fancy
-        index, whatever their width.  Every payload is built, and every
-        write's bounds and block shapes are checked, before the first
-        write; then each written array takes one write: a slice or a
+        A stream is ``(kind, arr, lo, hi, idx, payload)``, with ``idx``
+        None for a range; ``writes`` says whether any stream writes.
+        Range streams move by slice and index streams by fancy index,
+        whatever their width.  Every payload is built, and every write's
+        bounds and block shapes are checked, before the first write;
+        then each written array takes one write: a slice or a
         scatter when one stream writes it, else one scatter over its
         streams' blocks (:func:`_checked_write`).  The counters, the
         observer and the trace rows of the whole call come last.
         """
         results: list[np.ndarray | None] = []
         n_reads = n_events = 0
-        for kind, arr, lo, hi, st, idx, _ in streams:
+        for kind, arr, lo, hi, idx, _ in streams:
             n = k if idx is None else idx.size
             n_events += n
             if kind == "w":
@@ -649,7 +647,7 @@ class EMMachine:
                 continue
             n_reads += n
             if idx is None:
-                results.append(arr._gather_range(lo, hi, st))
+                results.append(arr._gather_range(lo, hi))
             elif idx.ndim == 1:
                 results.append(arr._gather(idx))
             else:
@@ -659,16 +657,16 @@ class EMMachine:
             by_array: dict[int, list] = {}
             for s in streams:
                 if s[0] == "w":
-                    blocks = s[6](results) if callable(s[6]) else s[6]
+                    blocks = s[5](results) if callable(s[5]) else s[5]
                     by_array.setdefault(s[1].array_id, []).append(
                         (s, np.asarray(blocks, dtype=np.int64))
                     )
             checked = []
             for group in by_array.values():
                 checked.append(_checked_write(group, k))
-            for arr, lo, hi, st, idx, blocks in checked:
+            for arr, lo, hi, idx, blocks in checked:
                 if idx is None:
-                    arr._scatter_range(lo, hi, blocks, st)
+                    arr._scatter_range(lo, hi, blocks)
                 else:
                     arr._scatter(idx, blocks)
         self.reads += n_reads
@@ -683,13 +681,13 @@ class EMMachine:
             rows = np.empty((n_events, 3), dtype=np.int64)
             E = n_events // k
             at = 0
-            for kind, arr, lo, hi, st, idx, _ in streams:
+            for kind, arr, lo, hi, idx, _ in streams:
                 op = _OP_READ if kind == "r" else _OP_WRITE
                 if idx is None or idx.ndim == 1:
                     col = rows[at::E]
                     col[:, 0] = op
                     col[:, 1] = arr.array_id
-                    col[:, 2] = np.arange(lo, hi, st) if idx is None else idx
+                    col[:, 2] = np.arange(lo, hi) if idx is None else idx
                     at += 1
                 else:
                     w = idx.shape[1]

@@ -246,30 +246,24 @@ class EMArray:
         self.backend.scatter(self._data, indices, blocks)
         self.versions.reencrypt_many(indices)
 
-    def _check_range(self, lo: int, hi: int, step: int = 1) -> None:
-        # For strides > 1 only the indices actually touched must be in
-        # bounds (the nominal ``hi`` may overshoot the last index).
-        last = lo + ((hi - lo - 1) // step) * step if hi > lo else lo
-        if lo < 0 or lo > hi or step < 1 or (hi > lo and last >= self.num_blocks):
+    def _check_range(self, lo: int, hi: int) -> None:
+        if lo < 0 or lo > hi or (hi > lo and hi > self.num_blocks):
             raise OutOfBoundsError(
-                f"block range [{lo}, {hi}):{step} out of range for array "
+                f"block range [{lo}, {hi}) out of range for array "
                 f"'{self.name}' of {self.num_blocks} blocks"
             )
 
-    def _gather_range(self, lo: int, hi: int, step: int = 1) -> np.ndarray:
-        """(Strided) range bulk read: O(1) bounds check, slice copy."""
-        self._check_range(lo, hi, step)
-        return self._data[lo:hi:step].copy() if step != 1 else self._data[lo:hi].copy()
+    def _gather_range(self, lo: int, hi: int) -> np.ndarray:
+        """Range bulk read: O(1) bounds check, slice copy."""
+        self._check_range(lo, hi)
+        return self._data[lo:hi].copy()
 
-    def _scatter_range(self, lo: int, hi: int, blocks: np.ndarray, step: int = 1) -> None:
-        """(Strided) range bulk write, re-encrypting each block in order.
-        The caller has checked the range and the blocks' shape, as for
+    def _scatter_range(self, lo: int, hi: int, blocks: np.ndarray) -> None:
+        """Range bulk write, re-encrypting each block in order.  The
+        caller has checked the range and the blocks' shape, as for
         :meth:`_scatter`."""
-        if step != 1:
-            self._data[lo:hi:step] = blocks
-        else:
-            self._data[lo:hi] = blocks
-        self.versions.reencrypt_range(lo, hi, step)
+        self._data[lo:hi] = blocks
+        self.versions.reencrypt_range(lo, hi)
 
     def _check(self, index: int) -> None:
         if not (0 <= index < self.num_blocks):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.em.batch import empty_blocks, hold_scan, scan_chunks
-from repro.em.block import NULL_KEY, block_occupied, is_empty
+from repro.em.block import NULL_KEY, is_empty
 from repro.em.errors import EMError
 from repro.em.machine import EMMachine
 from repro.em.storage import EMArray
@@ -153,7 +153,6 @@ def _read_labels(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _write_labels_scan(
     machine: EMMachine,
     A: EMArray,
-    occupied_fn,
     occupied_vec: np.ndarray | None = None,
 ) -> tuple[EMArray, int]:
     """Scan ``A`` computing distance labels into a parallel label array.
@@ -161,8 +160,8 @@ def _write_labels_scan(
     Returns the label array and the number of occupied blocks.  The scan's
     access pattern (read ``A[j]``, write ``labels[j]``) is fixed.
     ``occupied_vec`` supplies a private per-position occupancy mask
-    (failure sweeping); otherwise ``occupied_fn`` (or the default
-    any-non-empty-record test) decides per block, in cache.
+    (failure sweeping); otherwise a block is occupied when it holds a
+    non-empty record.
     """
     n = A.num_blocks
     B = machine.B
@@ -177,12 +176,8 @@ def _write_labels_scan(
                 blocks = reads[0]
                 if occupied_vec is not None:
                     occ = np.asarray(occupied_vec[lo:hi], dtype=bool)
-                elif occupied_fn is None or occupied_fn is block_occupied:
-                    occ = np.any(~is_empty(blocks), axis=1)
                 else:
-                    occ = np.array(
-                        [bool(occupied_fn(b)) for b in blocks], dtype=bool
-                    )
+                    occ = np.any(~is_empty(blocks), axis=1)
                 ranks_before = rank + np.cumsum(occ) - occ
                 rank += int(np.count_nonzero(occ))
                 return _make_label_blocks(B, occ, idx - ranks_before)
@@ -319,7 +314,6 @@ def butterfly_compact(
     machine: EMMachine,
     A: EMArray,
     *,
-    occupied_fn=None,
     occupied_mask=None,
 ) -> EMArray:
     """Tight order-preserving compaction of the blocks of ``A`` (Theorem 6).
@@ -329,8 +323,7 @@ def butterfly_compact(
     empty blocks.  ``A`` itself is consumed conceptually (its contents are
     copied; the array remains allocated and untouched).
 
-    ``occupied_fn`` decides in cache whether a block counts as occupied
-    (default: holds any non-empty record).  Alternatively
+    A block counts as occupied when it holds a non-empty record, unless
     ``occupied_mask`` supplies a per-position boolean mask from the
     client's private knowledge (used by failure sweeping); the mask only
     shapes the encrypted routing labels, never the access pattern.
@@ -345,8 +338,6 @@ def butterfly_compact(
     n = A.num_blocks
     occupied_vec = None
     if occupied_mask is not None:
-        if occupied_fn is not None:
-            raise ValueError("pass occupied_fn or occupied_mask, not both")
         if len(occupied_mask) != n:  # oblint: public(occupied_mask) -- shape validation: aborts only on a malformed mask argument
             raise ValueError(f"mask length {len(occupied_mask)} != {n} blocks")
         occupied_vec = np.asarray(
@@ -357,9 +348,7 @@ def butterfly_compact(
     for lo, hi in scan_chunks(machine, n):
         with hold_scan(machine, 1, hi - lo):
             machine.copy_many(A, (lo, hi), work, (lo, hi))
-    labels, _ = _write_labels_scan(
-        machine, work, occupied_fn, occupied_vec=occupied_vec
-    )
+    labels, _ = _write_labels_scan(machine, work, occupied_vec)
     _route_em(machine, work, labels)
     machine.free(labels)
     return work

@@ -53,14 +53,14 @@ def compare_exchange(records: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Non
     records[sh] = tmp
 
 
-def sort_records(records: np.ndarray, *, stable: bool = True) -> np.ndarray:
+def sort_records(records: np.ndarray) -> np.ndarray:
     """Return ``records`` sorted by key (empties last).
 
     This runs inside the client's private memory, so it is free to use a
     fast comparison sort — in-cache computation is invisible to the
-    adversary.  ``stable=True`` preserves the input order of equal keys,
+    adversary.  The sort is stable: equal keys keep their input order,
     which the order-preserving compaction paths rely on.
     """
     keys = order_keys(records)
-    order = np.argsort(keys, kind="stable" if stable else "quicksort")
+    order = np.argsort(keys, kind="stable")
     return records[order]

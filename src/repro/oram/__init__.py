@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 #: Public backend names accepted by :func:`make_oram` (and the
-#: ``oram_backend`` parameter of the registered pipeline steps).
+#: ``oram_backend`` parameter of
+#: :func:`~repro.core.compaction.tight_compact_sparse`).
 ORAM_BACKENDS = ("square_root", "hierarchical")
 
 

@@ -62,19 +62,17 @@ def log_base(n: float, base: float) -> float:
     return max(1.0, math.log(n) / math.log(base))
 
 
-def log_star(n: float, base: float = 2.0) -> int:
+def log_star(n: float) -> int:
     """Return the iterated logarithm ``log*`` of ``n``.
 
-    ``log_star(n)`` is the number of times ``log_base`` must be applied
+    ``log_star(n)`` is the number of times ``log2`` must be applied
     before the value drops to <= 1.  Used by Theorem 9's
     ``O((N/B) log*(N/B))`` loose-compaction bound.
     """
-    if base <= 1:
-        raise ValueError(f"log base must exceed 1, got {base}")
     count = 0
     x = float(n)
     while x > 1.0:
-        x = math.log(x) / math.log(base)
+        x = math.log(x) / math.log(2.0)
         count += 1
         if count > 64:  # unreachable for any physical input
             raise OverflowError("log_star failed to converge")

@@ -169,11 +169,6 @@ class TestLooseCompact:
         with pytest.raises(ValueError):
             loose_compact(mach, arr, 4, make_rng(0))  # 4r > n
 
-    def test_c0_lower_bound(self):
-        mach, arr = self.make_instance(32, [0])
-        with pytest.raises(ValueError):
-            loose_compact(mach, arr, 4, make_rng(0), c0=2)
-
     def test_success_over_seeds(self):
         occupied = list(range(0, 64, 9))
         ok = 0
@@ -249,12 +244,6 @@ class TestLooseCompactLogstar:
         arr = load_block_array(mach, sparse_layout(8, [0]))
         with pytest.raises(ValueError):
             loose_compact_logstar(mach, arr, 4, make_rng(0))
-
-    def test_region_compactor_validation(self):
-        mach = EMMachine(M=256, B=4)
-        arr = load_block_array(mach, sparse_layout(16, [0]))
-        with pytest.raises(ValueError):
-            loose_compact_logstar(mach, arr, 2, make_rng(0), region_compactor="???")
 
 
 class TestIBLTInsertPassBatched:

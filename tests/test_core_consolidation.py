@@ -63,13 +63,6 @@ class TestConsolidate:
         assert res.num_distinguished == 13
         assert res.num_full_blocks == 3
 
-    def test_custom_predicate(self):
-        mach, arr = machine_with([1, 100, 2, 200, 300], B=2)
-        res = consolidate(
-            mach, arr, distinguished_fn=lambda recs: recs[:, 0] >= 100
-        )
-        assert list(res.array.nonempty()[:, 0]) == [100, 200, 300]
-
     def test_all_empty_input(self):
         mach = EMMachine(M=64, B=4)
         arr = mach.alloc(3)

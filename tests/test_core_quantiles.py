@@ -112,12 +112,6 @@ class TestQuantileCorrectness:
         with pytest.raises(ValueError):
             quantiles_em(mach, arr, 2, 3, make_rng(0))
 
-    def test_model_bound_enforcement(self):
-        keys = np.arange(1, 257)
-        mach, arr = build(keys, M=64)
-        with pytest.raises(ValueError):
-            quantiles_em(mach, arr, 256, 5, make_rng(0), enforce_model_bound=True)
-
 
 class TestQuantileObliviousness:
     def test_trace_independent_of_data(self):

@@ -65,12 +65,6 @@ class TestSelectionCorrectness:
         key, _ = select_with_retry(mach, arr, 300, 150)
         assert key == int(np.sort(keys)[149])
 
-    def test_iblt_compactor_path(self):
-        keys = np.random.default_rng(3).permutation(np.arange(1, 49))
-        mach, arr = build(keys, M=1024)
-        key, _ = select_with_retry(mach, arr, 48, 24, compactor="iblt")
-        assert key == 24
-
     def test_report(self):
         keys = np.arange(1, 101)
         mach, arr = build(keys, M=1024)
@@ -109,9 +103,8 @@ class TestSelectionCorrectness:
         mach = EMMachine(M=128, B=4)
         arr = mach.alloc_cells(300 * spread)
         arr.load_flat(sparse_layout(keys, spread))
-        for compactor in ("butterfly", "iblt"):
-            key, _ = select_with_retry(mach, arr, 300, 100, compactor=compactor)
-            assert key == 100
+        key, _ = select_with_retry(mach, arr, 300, 100)
+        assert key == 100
 
     def test_validation(self):
         mach, arr = build([1, 2, 3])

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.sorting as sorting
+from repro.core.shuffle import DealOverflow
 from repro.core.sorting import SortStats, oblivious_sort
 from repro.em import EMMachine, make_records
+from repro.em.block import NULL_KEY
 from repro.util.rng import make_rng
 
 
@@ -115,6 +118,74 @@ class TestSortCorrectness:
         assert np.array_equal(
             out.nonempty()[:, 0], np.sort(np.asarray(keys, dtype=np.int64))
         )
+
+
+def sparse_sort(cells, n, M, B, seed=0, trace=True):
+    """Sort ``n`` distinct keys at random positions of a ``cells``-cell
+    layout (keys and positions from ``default_rng(seed)``) in one
+    attempt; returns the machine, the output, the keys and the stats."""
+    rng = np.random.default_rng(seed)
+    keys = rng.permutation(n)
+    layout = np.zeros((cells, 2), dtype=np.int64)
+    layout[:, 0] = NULL_KEY
+    layout[np.sort(rng.choice(cells, n, replace=False)), 0] = keys
+    mach = EMMachine(M=M, B=B, trace=trace)
+    arr = mach.alloc_cells(cells)
+    arr.load_flat(layout)
+    stats = SortStats()
+    out = oblivious_sort(mach, arr, n, make_rng(1), stats=stats, retries=1)
+    return mach, out, keys, stats
+
+
+class TestSparseLayouts:
+    """A third of the cells occupied, at ``M/B >= 64``: every colour
+    array longer than its occupied-block bound is butterfly-compacted
+    (Theorem 6) to that bound, so every level below the first sorts a
+    dense array."""
+
+    @pytest.mark.parametrize("M, B, ios", [(256, 4, 291_851), (1024, 8, 90_805)])
+    def test_sorts_at_pinned_cost(self, M, B, ios):
+        mach, out, keys, stats = sparse_sort(8192, 2730, M, B, trace=False)
+        assert stats.attempts == 1
+        assert np.array_equal(out.nonempty()[:, 0], np.sort(keys))
+        assert mach.total_ios == ios
+
+    def test_trace_independent_of_layout(self):
+        a, *_ = sparse_sort(8192, 2730, 1024, 8, seed=0)
+        b, *_ = sparse_sort(8192, 2730, 1024, 8, seed=1)
+        assert a.trace.fingerprint() == b.trace.fingerprint()
+
+
+class TestFailedAttempt:
+    def test_failed_attempt_frees_its_arrays(self, monkeypatch):
+        """A deal overflow injected after the second deal fails the first
+        attempt; the sort frees that attempt's arrays, the deal's colour
+        arrays among them, before it retries, so afterwards the machine
+        holds only the input and the output."""
+        deal = sorting.shuffle_and_deal
+        calls = []
+
+        def overflow_once(*args, **kwargs):
+            dealt = deal(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:
+                raise DealOverflow("injected")
+            return dealt
+
+        monkeypatch.setattr(sorting, "shuffle_and_deal", overflow_once)
+        n = 2048
+        keys = np.random.default_rng(0).permutation(n)
+        mach = EMMachine(M=128, B=4)
+        arr = mach.alloc_cells(n)
+        arr.load_flat(make_records(keys))
+        before = set(mach._arrays)
+        live = mach.backend.live_bytes
+        stats = SortStats()
+        out = oblivious_sort(mach, arr, n, make_rng(0), stats=stats)
+        assert stats.attempts == 2
+        assert np.array_equal(out.nonempty()[:, 0], np.sort(keys))
+        assert set(mach._arrays) == before | {out.array_id}
+        assert mach.backend.live_bytes == live + out.raw.nbytes
 
 
 class TestSortObliviousness:

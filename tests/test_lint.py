@@ -212,7 +212,7 @@ class TestRepoGate:
         assert rules.get("OBL105", 0) == 0  # no dead suppressions
         # Every declassification in the repo, pinned: adding or removing
         # one means re-counting here.
-        assert repo_report.pragma_count == 37
+        assert repo_report.pragma_count == 36
 
     def test_registry_metadata_collected(self, repo_report):
         assert repo_report.lint_public_count >= 1

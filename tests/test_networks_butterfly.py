@@ -194,12 +194,6 @@ class TestEMButterflyCompact:
         b = run([None, None, None, None, None, None, None, [9]])
         assert a == b
 
-    def test_custom_occupied_fn(self):
-        mach = EMMachine(M=16 * 4, B=4)
-        arr = load_blocks(mach, [[5], [105], [6], [106]])
-        out = butterfly_compact(mach, arr, occupied_fn=lambda blk: blk[0, 0] >= 100)
-        assert occupied_keys(out)[:2] == [105, 106]
-
 
 class TestEMButterflyExpand:
     def test_expand_roundtrip(self):

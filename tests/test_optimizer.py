@@ -457,9 +457,10 @@ def _random_plan(session, keys, rng):
             targets.append(ds.compact())
             ops.append("compact")
         else:
-            # Generous slack keeps the Las Vegas caps from ever tripping
-            # at this size, whichever input order the optimizer leaves.
-            targets.append(ds.quantiles(q=3, slack=2.0))
+            # At 128 records the Lemma 15 cap covers every item, so the
+            # step sorts directly and cannot fail, whichever input order
+            # the optimizer leaves.
+            targets.append(ds.quantiles(q=3))
             ops.append("quantiles")
     return session.plan(*targets), ops
 

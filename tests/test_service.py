@@ -124,6 +124,38 @@ class TestStreamedPlans:
         expect = recs[np.argsort(recs[:, 0], kind="stable")]
         assert np.array_equal(out.records, expect)
 
+    @pytest.mark.xfail(
+        raises=ValueError,
+        strict=True,
+        reason="a stream's n is the padded total, but the executor does not "
+        "run the sort in padded mode (Executor._is_padded)",
+    )
+    def test_streamed_sort_short_last_chunk_at_scale(self):
+        recs = records_of(2048, 0)
+        with ObliviousSession(EMConfig(M=128, B=4), seed=1) as s:
+            out = s.stream(chunked(recs, 1000)).sort().run()
+        assert np.array_equal(out.records[:, 0], np.sort(recs[:, 0]))
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="the step after a streamed shuffle gets the real record count "
+        "as n, so its size and transcript show how short the last chunk was",
+    )
+    def test_step_after_stream_hides_last_chunk_size(self):
+        def steps(last):
+            recs = records_of(48 + last, 3)
+            with ObliviousSession(EMConfig(M=64, B=4), seed=2) as s:
+                res = (
+                    s.stream(chunked(recs, 48), chunk_records=48, num_chunks=2)
+                    .shuffle()
+                    .compact()
+                    .run()
+                )
+            return [(st.n_items, st.cost.trace_canonical) for st in res.steps]
+
+        assert steps(30) == steps(48)
+
     def test_non_null_tolerant_step_rejected_eagerly(self):
         recs = records_of(64, 6)
         with ObliviousSession(EMConfig(M=64, B=4), seed=3) as s:
