@@ -455,10 +455,12 @@ class EMMachine:
         position is re-encrypted per write, in write order.
         """
         self._own(arr)
-        lidx, ridx = (
-            np.arange(lo, hi, dtype=np.int64) if idx is None else idx
-            for lo, hi, idx, _ in (_parse(left), _parse(right))
-        )
+        lo, hi, lidx, _ = _parse(left)
+        if lidx is None:
+            lidx = np.arange(lo, hi, dtype=np.int64)
+        lo, hi, ridx, _ = _parse(right)
+        if ridx is None:
+            ridx = np.arange(lo, hi, dtype=np.int64)
         if len(lidx) != len(ridx):
             raise ValueError(
                 f"left and right counts differ ({len(lidx)} != {len(ridx)})"
