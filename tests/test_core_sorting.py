@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.sorting as sorting
-from repro.core.shuffle import DealOverflow
+from repro.core.shuffle import DealOverflow, shuffle_and_deal
 from repro.core.sorting import SortStats, oblivious_sort
 from repro.em import EMMachine, make_records
 from repro.em.block import NULL_KEY
@@ -162,17 +161,16 @@ class TestFailedAttempt:
         attempt; the sort frees that attempt's arrays, the deal's colour
         arrays among them, before it retries, so afterwards the machine
         holds only the input and the output."""
-        deal = sorting.shuffle_and_deal
         calls = []
 
         def overflow_once(*args, **kwargs):
-            dealt = deal(*args, **kwargs)
+            dealt = shuffle_and_deal(*args, **kwargs)
             calls.append(None)
             if len(calls) == 2:
                 raise DealOverflow("injected")
             return dealt
 
-        monkeypatch.setattr(sorting, "shuffle_and_deal", overflow_once)
+        monkeypatch.setattr("repro.core.sorting.shuffle_and_deal", overflow_once)
         n = 2048
         keys = np.random.default_rng(0).permutation(n)
         mach = EMMachine(M=128, B=4)
